@@ -17,10 +17,14 @@ BACKEND_RECORDS = {}
 BATCH_RECORDS = {}
 
 # measurement name -> record, filled by test_dispatch_overhead.py and
-# flushed to BENCH_dispatch.json: the front door's cached-dispatch
-# overhead vs the direct driver call, the cold probe cost, and the
-# SPD-traffic win from cached-factor reuse.
+# flushed to BENCH_dispatch.json: the front door's repeat-dispatch
+# overhead vs the direct driver call, the probe cost, and the
+# SPD-traffic win from reusing a remembered Cholesky factor.
 DISPATCH_RECORDS = {}
+
+# The resilient seam's cost on the undeadlined la_gesv hot loop, filled
+# by test_resilience_overhead.py and flushed to BENCH_resilience.json.
+RESILIENCE_RECORD = {}
 
 
 def record_backend_timing(routine, backend, n, stats):
@@ -101,17 +105,26 @@ def record_dispatch(name, record):
 def _write_dispatch_report(root):
     out = {
         "experiment": "XB5-dispatch",
-        "description": "Front-door auto-dispatch cost: repro.solve with "
-                       "a warm structure cache vs calling the routed "
-                       "driver directly (gate: < 5% overhead on "
-                       "la_gesv-sized traffic), the cold probe cost, "
-                       "and the SPD-traffic win from reusing the "
-                       "cached trial-Cholesky factor",
+        "description": "Front-door auto-dispatch cost: repro.solve on "
+                       "a repeated general operand vs calling the "
+                       "routed driver directly (gate: < 5% overhead on "
+                       "la_gesv-sized traffic), the probe cost, and "
+                       "the SPD-traffic win from reusing the "
+                       "remembered trial-Cholesky factor",
         "results": {k: DISPATCH_RECORDS[k]
                     for k in sorted(DISPATCH_RECORDS)},
     }
     (root / "BENCH_dispatch.json").write_text(
         json.dumps(out, indent=2, sort_keys=True) + "\n")
+
+
+def record_resilience(record):
+    RESILIENCE_RECORD.update(record)
+
+
+def _write_resilience_report(root):
+    (root / "BENCH_resilience.json").write_text(
+        json.dumps(RESILIENCE_RECORD, indent=2) + "\n")
 
 
 def pytest_sessionfinish(session, exitstatus):
@@ -122,6 +135,8 @@ def pytest_sessionfinish(session, exitstatus):
         _write_batch_report(root)
     if DISPATCH_RECORDS:
         _write_dispatch_report(root)
+    if RESILIENCE_RECORD:
+        _write_resilience_report(root)
 
 
 @pytest.fixture

@@ -1,19 +1,20 @@
-"""XB5 — what the front door costs, and what the cache buys.
+"""XB5 — what the front door costs, and what the Cholesky memo buys.
 
 Three measurements on ``la_gesv``-sized traffic (N = 384), flushed to
 ``BENCH_dispatch.json`` by the conftest session hook:
 
-* **cached dispatch overhead** — ``repro.solve`` with a warm structure
-  cache vs calling the routed driver directly.  The warm path pays one
-  cache lookup (metadata + sampled fingerprint revalidation) and one
-  walk of the spec-derived routing table; the acceptance gate pins it
-  under 5% of the direct call.
-* **cold probe cost** — the one-time classification (bandwidth sweep,
-  bitwise symmetry test) a first-seen operand pays.
-* **SPD-traffic win** — repeated ``solve`` against the same SPD operand
-  reuses the cached trial-Cholesky factor and goes straight to
-  ``potrs``, skipping the O(n³/3) refactorization ``la_posv`` pays on
-  every direct call.
+* **repeat dispatch overhead** — ``repro.solve`` on a repeated general
+  operand vs calling the routed driver directly.  General verdicts are
+  not remembered, so every call pays one memo miss, the probe (whose
+  O(1) corner exits settle a dense general operand) and one walk of
+  the spec-derived routing table; the acceptance gate pins it under 5%
+  of the direct call.
+* **probe cost** — the classification a general operand pays on each
+  call.
+* **SPD-traffic win** — repeated ``solve`` against the same, unchanged
+  SPD operand passes the memo's exact check and goes straight to
+  ``potrs`` with the remembered trial-Cholesky factor, skipping the
+  O(n³/3) refactorization ``la_posv`` pays on every direct call.
 
 All timings are measured directly (best of R rounds) so the gates hold
 under ``--benchmark-disable``.

@@ -14,7 +14,7 @@ The rules are driven by a declarative **guarded_by registry**: every
 shared mutable name in the package — the policy object, backend
 registry and selection, blocking knobs, breaker registry and tracking
 flag, resilience policy, deadline arming, fault/chaos tables, the
-structure cache with its stats/epoch counters, switch hooks, and the
+front door's Cholesky memo with its stats counters, and the
 rate-limiter windows behind the fallback-announcement state — mapped to
 the lock that owns it.  The module-level entries are derived from the
 same owner tables LA015/LA016 police (:data:`~.rules.GLOBAL_STATE`,
@@ -86,17 +86,15 @@ for _var, (_owner, _api) in {**GLOBAL_STATE, **RESILIENCE_STATE}.items():
         continue
     GUARDED_BY[_var] = (_owner, STATE_LOCK)
 GUARDED_BY.update({
-    # backend registry and switch hooks (fallback announcements reset
-    # through _switched ride the same lock)
+    # backend registry
     "_REGISTRY": ("repro/backends/__init__.py", STATE_LOCK),
-    "_SWITCH_HOOKS": ("repro/backends/__init__.py", STATE_LOCK),
     # breaker tracking flag (the registry itself is LA016-inherited)
     "TRACKING": ("repro/resilience/breaker.py", STATE_LOCK),
     # fault-injection tables and their fast-path gates
     "_FAULTS": ("repro/faults.py", STATE_LOCK),
     "ACTIVE": ("repro/faults.py", STATE_LOCK),
     "CHAOS_ACTIVE": ("repro/faults.py", STATE_LOCK),
-    # the PR 9 structure cache and its stats/epoch counters
+    # the front door's Cholesky memo and its stats counters
     "_ENTRIES": ("repro/dispatch_front/cache.py", STATE_LOCK),
     "_STATS": ("repro/dispatch_front/cache.py", STATE_LOCK),
     # lazily-initialised retry exemption set at the dispatch seam
@@ -395,7 +393,7 @@ def _roots(mod):
 
     Public module functions and public methods are roots; private ones
     are only roots when nothing in the module calls them by name (a
-    decorated hook like ``_on_backend_switch`` has no textual caller
+    callback like the memo's weakref ``_forget`` has no direct caller
     but runs on arbitrary threads).  ``__init__`` and other dunders are
     exempt: construction happens-before sharing.
     """

@@ -65,7 +65,6 @@ __all__ = [
     "driver_kernel",
     "backend_aware",
     "reset_fallback_announcements",
-    "on_backend_switch",
     "BackendFallbackWarning",
 ]
 
@@ -180,44 +179,18 @@ def get_backend_name():
     return _SELECTED  # laflow: benign-race — atomic snapshot of one name binding
 
 
-#: Callbacks fired after every *effective* backend switch, as
-#: ``hook(previous, selected)``.  The dispatch front end registers its
-#: structure-cache invalidation here; keeping a hook list (instead of a
-#: direct import) avoids a backends -> dispatch_front import cycle.
-_SWITCH_HOOKS: list = []
-
-
-def on_backend_switch(hook):
-    """Register ``hook(previous, selected)`` to run after each effective
-    backend switch; returns ``hook`` (usable as a decorator)."""
-    with STATE_LOCK:
-        if hook not in _SWITCH_HOOKS:
-            _SWITCH_HOOKS.append(hook)
-    return hook
-
-
-def _switched(previous, selected, durable):
-    """Post-switch housekeeping, run on every *effective* change.
-
-    The registered switch hooks always fire — the dispatch front end's
-    structure cache must drop factors computed by the departed substrate
-    no matter how briefly the selection changed.  Reopening the departed
-    backend's rate-limited warning windows (so a reroute after the
-    switch re-announces once instead of staying suppressed by pre-switch
-    history) happens only on *durable* switches — a direct
-    :func:`set_backend` or a :func:`use_backend` entry, not the
-    context manager's restore: the per-call ``backend=`` escape hatch
-    round-trips the selection on every driver call, and resetting on
-    each restore would turn one suppressed warning into a flood."""
-    if durable:
-        _ANNOUNCED.reset(where=lambda key: key[0] == previous)
-        from ..resilience import dispatch as _dispatch
-        _dispatch._OPEN_WARNINGS.reset(
-            where=lambda key: key[0] == previous)
-    with STATE_LOCK:
-        hooks = list(_SWITCH_HOOKS)
-    for hook in hooks:       # outside the lock: hooks may take it
-        hook(previous, selected)
+def _switched(previous):
+    """Reopen the departed backend's rate-limited warning windows after
+    a *durable* switch — a direct :func:`set_backend` or a
+    :func:`use_backend` entry — so a reroute after the switch
+    re-announces once instead of staying suppressed by pre-switch
+    history.  The context manager's restore does not reset: the
+    per-call ``backend=`` escape hatch round-trips the selection on
+    every driver call, and resetting on each restore would turn one
+    suppressed warning into a flood."""
+    _ANNOUNCED.reset(where=lambda key: key[0] == previous)
+    from ..resilience import dispatch as _dispatch
+    _dispatch._OPEN_WARNINGS.reset(where=lambda key: key[0] == previous)
 
 
 def _select(name, durable):
@@ -226,8 +199,8 @@ def _select(name, durable):
     with STATE_LOCK:
         previous = _SELECTED
         _SELECTED = validated  # laflow: atomic-split — each swap is atomic; use_backend's set/restore are deliberately separate swaps
-    if previous != validated:
-        _switched(previous, validated, durable)
+    if durable and previous != validated:
+        _switched(previous)
     return previous
 
 
@@ -240,9 +213,10 @@ def set_backend(name):
     ``reference`` and announces a :class:`BackendFallbackWarning`.
 
     An *effective* switch (``name`` differs from the current selection)
-    also invalidates per-array caches layered over the seam (the
-    dispatch front end's structure cache) and resets the departed
-    backend's rate-limited warning windows — see :func:`_switched`.
+    also resets the departed backend's rate-limited warning windows —
+    see :func:`_switched`.  Nothing else needs telling: the front door's
+    Cholesky memo records the backend per entry and never reuses a
+    factor across backends.
     """
     return _select(name, durable=True)
 
@@ -252,8 +226,8 @@ def use_backend(name):
     """Context manager: select ``name`` for the duration of the block.
 
     Entering counts as a durable switch (warning windows for the
-    departed backend reopen); the restore on exit runs only the cache-
-    invalidation hooks — see :func:`_switched`.
+    departed backend reopen); the restore on exit does not — see
+    :func:`_switched`.
     """
     previous = _select(name, durable=True)
     try:

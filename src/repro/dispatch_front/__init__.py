@@ -1,8 +1,8 @@
 """One front door: structure-detecting auto-dispatch.
 
 ``repro.solve(a, b)``, ``repro.lstsq(a, b)`` and ``repro.eig(a)`` probe
-the operand's structure (:mod:`~repro.dispatch_front.probe`), remember
-the verdict per array (:mod:`~repro.dispatch_front.cache`), derive the
+the operand's structure (:mod:`~repro.dispatch_front.probe`), reuse an
+unchanged SPD operand's factor (:mod:`~repro.dispatch_front.cache`), derive the
 best registered driver from the DriverSpec registry's declarative
 routing metadata (:mod:`repro.specs.routing`) and execute it through
 the ordinary backend/resilience seams (:mod:`~repro.dispatch_front.api`)

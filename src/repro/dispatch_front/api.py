@@ -3,10 +3,12 @@
 Callers who know their matrix call ``la_posv``; callers who don't call
 :func:`solve` and get the same driver chosen for them.  The flow is
 
-1. **classify** — the per-array structure cache
-   (:mod:`repro.dispatch_front.cache`) answers instantly for a repeat
-   operand; otherwise :func:`~repro.dispatch_front.probe.probe` runs
-   once and its verdict (including any trial-Cholesky factor) is cached.
+1. **classify** — :func:`~repro.dispatch_front.probe.probe` classifies
+   the operand, unless the Cholesky memo
+   (:mod:`repro.dispatch_front.cache`) holds an ``spd``/``hpd`` verdict
+   for this very array, still bit-equal to the copy taken when it was
+   factored, under the same backend.  Only those verdicts are kept;
+   every other operand is re-probed on every call.
 2. **route** — :func:`repro.specs.routing.route` walks the refinement
    lattice over the DriverSpec registry's declarative
    ``problem_kind``/``structure`` metadata.  There is no structure→
@@ -17,9 +19,8 @@ Callers who know their matrix call ``la_posv``; callers who don't call
 3. **execute** — the routed ``la_*`` driver runs with the caller's
    ``info`` handle, through the ordinary backend/resilience/deadline
    seams, *on copies*: unlike the drivers, the front door never
-   overwrites its operands (it must not — a mutated operand would
-   invalidate its own cache entry).  A cached ``spd``/``hpd`` verdict
-   skips the refactorization entirely: the retained ``potrf`` factor
+   overwrites its operands.  An ``spd``/``hpd`` verdict, fresh or
+   remembered, never refactorizes: the probe's trial-``potrf`` factor
    goes straight to ``potrs`` inside the same ``LA_POSV`` contract
    (spec validation, driver guard, ERINFO report).
 
@@ -34,7 +35,7 @@ skips probing and pins the structure label (trusted, not verified: an
 ``la_posv`` yourself).  When an :class:`~repro.errors.Info` handle is
 passed, the verdict comes back with ``info.structure``,
 ``info.chosen_driver`` and ``info.probe_cost`` telemetry
-(``probe_cost == 0.0`` on a cache hit).
+(``probe_cost == 0.0`` on a memo hit).
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ class Explanation:
 
     ``candidates`` is the full refinement ladder the router considered,
     most specific first; ``chosen_driver`` is its head.  ``cached`` says
-    whether the classification came from the structure cache;
-    ``probe_cost`` is the probe's wall-clock seconds (0.0 when cached
-    or assumed).
+    whether the classification came from the Cholesky memo;
+    ``probe_cost`` is the probe's wall-clock seconds (0.0 when
+    remembered or assumed).
     """
 
     kind: str
@@ -77,7 +78,7 @@ class Explanation:
 
 
 def _classify(a, assume):
-    """``(Structure, cached)`` for ``a`` — cache, probe, or assumption."""
+    """``(Structure, cached)`` for ``a`` — memo, probe, or assumption."""
     if assume is not None:
         if assume not in STRUCTURES:
             raise ValueError(
@@ -90,7 +91,7 @@ def _classify(a, assume):
     if st is not None:
         return st, True
     st = probe_stack(a) if a.ndim == 3 else probe(a)
-    cache.store(a, st)  # laflow: atomic-split — probing runs unlocked by design; a racing store of the same verdict is idempotent
+    cache.store(a, st)  # laflow: atomic-split — probing runs unlocked by design; a racing store of the same operand is idempotent
     return st, False
 
 
@@ -126,8 +127,7 @@ def _batch_route(kind, st, iscomplex):
 
 # -- per-kernel calling conventions (the hand-written residue) --------
 # Each executor receives the *original* operands plus the probe verdict
-# and runs the routed driver on copies, returning the solution.  The
-# ``cached`` flag lets the posv convention reuse the retained factor.
+# and runs the routed driver on copies, returning the solution.
 
 def _band_storage(a, kl, ku):
     """Pack a dense band matrix into ``la_gbsv``'s ``2·kl+ku+1``-row
@@ -141,10 +141,10 @@ def _band_storage(a, kl, ku):
 
 
 def _posv_from_factor(st, a, bc, info):
-    """Repeat SPD solve: the cached trial-``potrf`` factor goes straight
-    to ``potrs``, inside the full ``LA_POSV`` contract (spec validation,
-    driver guard, ERINFO report) — the refactorization is what the cache
-    exists to skip."""
+    """SPD solve from the probe's trial-``potrf`` factor: straight to
+    ``potrs``, inside the full ``LA_POSV`` contract (spec validation,
+    driver guard, ERINFO report), so a cold solve factorizes once and a
+    remembered one not at all."""
     srname = "LA_POSV"
     linfo = validate_args("la_posv", a=a, b=bc, uplo=st.uplo)
     exc = None
@@ -157,35 +157,35 @@ def _posv_from_factor(st, a, bc, info):
     return bc
 
 
-def _exec_gesv(st, a, bc, info, cached):
+def _exec_gesv(st, a, bc, info):
     return la_gesv(a.copy(), bc, info=info)
 
 
-def _exec_posv(st, a, bc, info, cached):
-    if cached and st.cholesky is not None:
+def _exec_posv(st, a, bc, info):
+    if st.cholesky is not None:
         return _posv_from_factor(st, a, bc, info)
     return la_posv(a.copy(), bc, uplo=st.uplo, info=info)
 
 
-def _exec_sysv(st, a, bc, info, cached):
+def _exec_sysv(st, a, bc, info):
     return la_sysv(a.copy(), bc, info=info)
 
 
-def _exec_hesv(st, a, bc, info, cached):
+def _exec_hesv(st, a, bc, info):
     return la_hesv(a.copy(), bc, info=info)
 
 
-def _exec_gtsv(st, a, bc, info, cached):
+def _exec_gtsv(st, a, bc, info):
     return la_gtsv(a.diagonal(-1).copy(), a.diagonal().copy(),
                    a.diagonal(1).copy(), bc, info=info)
 
 
-def _exec_gbsv(st, a, bc, info, cached):
+def _exec_gbsv(st, a, bc, info):
     return la_gbsv(_band_storage(a, st.kl, st.ku), bc, kl=st.kl,
                    info=info)
 
 
-def _exec_trtrs(st, a, bc, info, cached):
+def _exec_trtrs(st, a, bc, info):
     return la_trtrs(a, bc, uplo=st.uplo, info=info)
 
 
@@ -262,7 +262,7 @@ def solve(a, b, *, info=None, explain=False, assume=None):
             tuple(s.name for s in candidates("solve", st.label,
                                              iscomplex)),
             cached=cached, probe_cost=0.0 if cached else st.probe_cost)
-    x = _SOLVERS[spec.kernel](st, a, _rhs_copy(a, b), info, cached)
+    x = _SOLVERS[spec.kernel](st, a, _rhs_copy(a, b), info)
     _note(info, st, spec.name, cached)
     return x
 
@@ -302,7 +302,7 @@ def lstsq(a, b, *, trans="N", info=None, explain=False):
             cached=cached, probe_cost=0.0 if cached else st.probe_cost)
     x = la_gels(a.copy(), _rhs_copy(a, b), trans=trans, info=info) \
         if spec.kernel == "gels" else \
-        _SOLVERS[spec.kernel](st, a, _rhs_copy(a, b), info, cached)
+        _SOLVERS[spec.kernel](st, a, _rhs_copy(a, b), info)
     _note(info, st, spec.name, cached)
     return x
 

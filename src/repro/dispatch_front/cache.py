@@ -1,108 +1,104 @@
-"""Per-array structure cache for the dispatch front door.
+"""Operand-tied Cholesky memo for the dispatch front door.
 
-Probing is cheap but not free (a ``nonzero`` sweep plus, for candidate
-SPD operands, a trial Cholesky).  Iterative codes solve against the
-*same* operand many times, so the front door remembers each array's
-probe verdict and re-routes without re-probing — the acceptance gate in
-``benchmarks/test_dispatch_overhead.py`` holds the cached path under 5%
-overhead versus calling the driver directly.
+Only verdicts that save a factorization are kept: for an ``spd``/``hpd``
+operand, the probe's :class:`~repro.dispatch_front.probe.Structure`
+with its trial-Cholesky factor, the backend that computed it, a
+private copy of the operand and a weak reference to it.  A lookup hits
+only for the same live array under the same backend, with the same
+dtype and ``np.array_equal(a, copy)`` — an exact O(n²) check against
+the O(n³) factorization it saves.  Any in-place edit therefore misses
+and re-probes, and correctness never depends on :func:`invalidate`,
+which only frees memory early.  NumPy arrays accept weak references;
+the reference's callback drops the entry when the operand is
+collected, so a recycled ``id()`` never meets a dead operand's entry.
 
-The cache never holds a strong reference to a user array (that would
-pin arbitrarily large operands alive; note ``np.ndarray`` does not
-support weak references either).  An entry is keyed by ``id(a)`` and
-revalidated on every hit against recorded metadata — shape, dtype,
-writeable flag, base data pointer, strides — plus a sampled
-*fingerprint* of up to 16 elements.  A recycled id or an in-place
-mutation that touches a sampled element therefore reads as a miss and
-the entry is re-probed.  (A mutation that dodges every sampled element
-of a writeable array is undetectable by design — callers doing in-place
-updates between solves should pass ``assume=`` or call
-:func:`invalidate`; the Users' Guide spells this out.)
-
-Backend switches invalidate everything: the retained Cholesky factor
-was computed by the departed substrate, and bit-reproducibility of the
-cached-reuse path is only guaranteed within one backend.  The hook is
-registered on :func:`repro.backends.on_backend_switch` at import time;
-each switch bumps a monotonically increasing *epoch* surfaced (with
-hit/miss counters) through ``repro.resilience.health.healthcheck()``.
-
-All cache state is guarded by the process-wide ``STATE_LOCK``, same as
-the backend selection it is layered over.
+Every other verdict is re-probed on each call: that costs one O(n²)
+sweep, the same order as the exact check that would validate it.  (An
+operand written by another thread *while* a solve reads it is a data
+race, as it is for every driver.)  All memo state is guarded by the
+process-wide ``STATE_LOCK``, except in the collection callback
+:func:`_forget`, which must not take locks.
 """
 
 from __future__ import annotations
 
+import weakref
+from functools import partial
+
 import numpy as np
 
 from .._sync import STATE_LOCK
-from ..backends import on_backend_switch
+from ..backends import get_backend_name
 
 __all__ = ["lookup", "store", "invalidate", "clear", "stats",
-           "fingerprint", "MAX_ENTRIES"]
+           "reset_stats", "MAX_ENTRIES"]
 
 #: Hard cap on live entries; storing past it evicts the oldest entry
-#: (insertion order), which keeps the cache O(1) for long-running
-#: processes that touch many distinct operands once.
+#: (insertion order), bounding the retained copies and factors.
 MAX_ENTRIES = 256
 
-#: Number of elements sampled into the mutation fingerprint.
-_SAMPLES = 16
-
-_ENTRIES: dict = {}  # id(a) -> (metadata tuple, fingerprint, Structure)
-_STATS = {"hits": 0, "misses": 0, "invalidated": 0, "epoch": 0}
+_ENTRIES: dict = {}  # id(a) -> (weakref to a, backend, copy of a, Structure)
+_STATS = {"hits": 0, "misses": 0, "invalidated": 0}
 
 
-def fingerprint(a) -> bytes:
-    """Bytes of up to ``_SAMPLES`` evenly spaced elements of ``a``."""
-    if a.size == 0:
-        return b""
-    idx = np.linspace(0, a.size - 1, min(a.size, _SAMPLES), dtype=np.intp)
-    return a.flat[idx].tobytes()
+def _forget(key, ref):
+    """Weakref callback: the operand was collected, so is its entry.
 
-
-def _metadata(a):
-    return (a.shape, a.dtype.str, a.flags.writeable,
-            a.__array_interface__["data"][0], a.strides)
+    Lock-free on purpose: a collection can run this in any thread while
+    it holds any lock, and taking ``STATE_LOCK`` there could deadlock.
+    No lock is needed: ``key`` cannot name another array until the
+    dying operand's memory is freed, after this returns."""
+    if _ENTRIES.get(key, (None,))[0] is ref:  # laflow: benign-race — finalizer; the dying operand's id is not reusable until this returns
+        _ENTRIES.pop(key, None)  # laflow: benign-race — finalizer; the dying operand's id is not reusable until this returns
 
 
 def lookup(a):
-    """The cached :class:`~repro.dispatch_front.probe.Structure` for
-    ``a``, or ``None`` after any metadata or fingerprint drift."""
+    """The remembered :class:`~repro.dispatch_front.probe.Structure`
+    for ``a``, or ``None`` unless ``a`` still holds exactly the values
+    its factor was computed from, under the same backend."""
     key = id(a)
     with STATE_LOCK:
-        entry = _ENTRIES.get(key)  # laflow: atomic-split — revalidation reads the array outside the lock; the delete region re-checks `is entry` first
+        entry = _ENTRIES.get(key)  # laflow: atomic-split — the exact check reads the array outside the lock; the drop region re-checks `is entry` first
         if entry is None:
             _STATS["misses"] += 1
             return None
-        meta, prints, structure = entry
-    # Revalidation reads the array outside the lock: the metadata is
-    # immutable tuples and a stale verdict is resolved below.
-    if meta != _metadata(a) or prints != fingerprint(a):
+    ref, backend, copy, structure = entry
+    # Compared outside the lock: the copy is private and never written.
+    if ref() is a and backend == get_backend_name() \
+            and a.dtype == copy.dtype and np.array_equal(a, copy):
         with STATE_LOCK:
-            if _ENTRIES.get(key) is entry:  # laflow: atomic-split — miss path; a racing store of the same operand is idempotent
-                del _ENTRIES[key]
-                _STATS["invalidated"] += 1
-            _STATS["misses"] += 1
-        return None
+            _STATS["hits"] += 1
+        return structure
     with STATE_LOCK:
-        _STATS["hits"] += 1
-    return structure
+        if _ENTRIES.get(key) is entry:
+            del _ENTRIES[key]
+            _STATS["invalidated"] += 1
+        _STATS["misses"] += 1
+    return None
 
 
 def store(a, structure):
-    """Remember ``structure`` as the probe verdict for ``a``."""
-    meta, prints = _metadata(a), fingerprint(a)
+    """Remember ``structure`` for ``a`` when it carries a factor to
+    reuse (an ``spd``/``hpd`` verdict); returns ``structure``."""
+    if structure.cholesky is None:
+        return structure
+    key = id(a)
+    entry = (weakref.ref(a, partial(_forget, key)),
+             get_backend_name(), a.copy(), structure)
     with STATE_LOCK:
-        _ENTRIES.pop(id(a), None)
-        while len(_ENTRIES) >= MAX_ENTRIES:
-            del _ENTRIES[next(iter(_ENTRIES))]
-        _ENTRIES[id(a)] = (meta, prints, structure)
+        _ENTRIES.pop(key, None)
+        # list() snapshots the keys in one step: the lock-free _forget
+        # may drop an entry from another thread at any bytecode.
+        excess = len(_ENTRIES) + 1 - MAX_ENTRIES
+        for oldest in list(_ENTRIES)[:max(0, excess)]:
+            _ENTRIES.pop(oldest, None)
+        _ENTRIES[key] = entry
     return structure
 
 
 def invalidate(a=None) -> int:
-    """Drop the entry for ``a`` (or every entry when ``a`` is None);
-    returns how many entries were dropped."""
+    """Drop the entry for ``a`` (or every entry when ``a`` is None) to
+    free its copy and factor; returns how many entries were dropped."""
     with STATE_LOCK:
         if a is None:
             dropped = len(_ENTRIES)
@@ -119,8 +115,8 @@ def clear() -> int:
 
 
 def stats() -> dict:
-    """Snapshot: ``{"entries", "hits", "misses", "invalidated",
-    "epoch"}`` — merged into ``healthcheck()``'s report."""
+    """Snapshot: ``{"entries", "hits", "misses", "invalidated"}`` —
+    merged into ``healthcheck()``'s report."""
     with STATE_LOCK:
         snapshot = dict(_STATS)
         snapshot["entries"] = len(_ENTRIES)
@@ -128,18 +124,6 @@ def stats() -> dict:
 
 
 def reset_stats():
-    """Zero the counters (the epoch is preserved) — test scaffolding."""
+    """Zero the counters — test scaffolding."""
     with STATE_LOCK:
-        epoch = _STATS["epoch"]
-        _STATS.update(hits=0, misses=0, invalidated=0, epoch=epoch)
-
-
-@on_backend_switch
-def _on_backend_switch(previous, selected):
-    """Every effective backend switch starts a new cache epoch: cached
-    Cholesky factors belong to the departed substrate."""
-    with STATE_LOCK:
-        dropped = len(_ENTRIES)
-        _ENTRIES.clear()
-        _STATS["invalidated"] += dropped
-        _STATS["epoch"] += 1
+        _STATS.update(hits=0, misses=0, invalidated=0)

@@ -11,12 +11,20 @@ would silently solve a different system.  Near-misses therefore probe as
 Positive definiteness is established by a *trial Cholesky*: a ``potrf``
 kernel call (through the full backend/resilience dispatch seam) on a
 copy of the operand.  On success the factor travels with the probe
-result and becomes the cached factorization — repeated SPD solves
-against the same array skip straight to ``potrs``.
+result: the front door solves with it directly, and the Cholesky memo
+(:mod:`~repro.dispatch_front.cache`) keeps it for repeat solves against
+the same, unchanged array.
 
 Band widths are extracted vectorized (one ``nonzero`` sweep); a matrix
 only probes as ``banded`` when band storage actually pays,
 ``2·kl + ku + 1 < n`` — so bandwidth ``n−1`` routes as ``general``.
+
+Two exact O(1) exits spare a dense general operand both full passes.
+Both corners ``a[n-1, 0]`` and ``a[0, n-1]`` nonzero means
+``kl = ku = n-1`` with no sweep; a corner pair that differs
+(conjugated, for the Hermitian test) refutes symmetry before
+``array_equal`` runs.  Either exit reaches the verdict the full pass
+would (NaN corners included: NaN is nonzero and unequal to itself).
 """
 
 from __future__ import annotations
@@ -29,6 +37,10 @@ import numpy as np
 from ..specs.routing import STRUCTURES
 
 __all__ = ["Structure", "probe", "probe_stack", "bandwidths"]
+
+#: Smallest order that takes the corner exits: an empty operand has no
+#: corners, and up to n = 2 the full pass costs no more than the exits.
+_CORNER_MIN_N = 3
 
 
 @dataclass
@@ -66,6 +78,16 @@ def bandwidths(a):
     return int(max(0, -offsets.min())), int(max(0, offsets.max()))
 
 
+def _mirrored(a, conj, corners):
+    """Bitwise ``a == a.T`` (``a == a^H`` when ``conj``); with
+    ``corners`` a mismatched corner pair refutes it in O(1)."""
+    if corners:
+        hi = a[0, -1]
+        if a[-1, 0] != (np.conj(hi) if conj else hi):
+            return False
+    return np.array_equal(a, a.conj().T if conj else a.T)
+
+
 def _trial_cholesky(a, uplo="U"):
     """``potrf`` on a copy through the dispatch seam; ``None`` unless
     positive definite.  The probe pre-filters on a strictly positive
@@ -98,10 +120,14 @@ def probe(a) -> Structure:
         return Structure("general",
                          probe_cost=time.perf_counter() - start)
     n = a.shape[0]
-    kl, ku = bandwidths(a)
+    corners = n >= _CORNER_MIN_N
+    if corners and a[-1, 0] != 0 and a[0, -1] != 0:
+        kl = ku = n - 1
+    else:
+        kl, ku = bandwidths(a)
     iscomplex = np.iscomplexobj(a)
-    symmetric = np.array_equal(a, a.T)
-    hermitian = np.array_equal(a, a.conj().T) if iscomplex else symmetric
+    symmetric = _mirrored(a, False, corners)
+    hermitian = _mirrored(a, True, corners) if iscomplex else symmetric
     label, uplo, factor = "general", "U", None
     if kl == 0 and ku == 0:
         label = "diagonal"

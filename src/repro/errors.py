@@ -233,7 +233,7 @@ class Info:
     decision was based on, ``chosen_driver`` names the ``la_*`` /
     ``batch_*`` wrapper the call was routed to, and ``probe_cost`` is
     the wall-clock seconds the structure probe took (``0.0`` on a
-    structure-cache hit).  All three stay ``None`` on direct driver
+    Cholesky-memo hit).  All three stay ``None`` on direct driver
     calls.
     """
 

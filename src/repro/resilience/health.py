@@ -36,8 +36,7 @@ def healthcheck() -> dict:
          "breakers": {"backend:routine": "open" | "half-open" | ...},
          "dispatch": {"structure_cache": {"entries": ..., "hits": ...,
                                           "misses": ...,
-                                          "invalidated": ...,
-                                          "epoch": ...}},
+                                          "invalidated": ...}},
          "policy": {"retries": ..., "breaker_threshold": ...,
                     "breaker_cooldown": ..., "warning_window": ...}}
 
@@ -49,7 +48,7 @@ def healthcheck() -> dict:
     entry crosses the dispatch seam once per stack, ``"loop"`` when the
     derived wrapper loops per problem inside the seam — and probes a
     2-problem ``batch_gesv`` over the same fixed system.  ``dispatch``
-    surfaces the front door's per-array structure-cache counters
+    surfaces the counters of the front door's Cholesky memo
     (:func:`repro.dispatch_front.cache.stats`).
     """
     from ..backends import available_backends, use_backend

@@ -152,7 +152,8 @@ def render_routing() -> str:
             if structure == "hpd":
                 continue
             solve = (f"`{route('solve', 'spd').name}` "
-                     f"(Cholesky factor cached for reuse)")
+                     f"(trial Cholesky factor reused while the array "
+                     f"is unchanged, same backend)")
             lstsq = f"`{route('lstsq', 'spd').name}`"
             eig = (f"`{route('eig', 'spd').name}` / "
                    f"`{route('eig', 'hpd', iscomplex=True).name}` "

@@ -1,15 +1,19 @@
-"""The per-array structure cache: probe-once semantics, fingerprint
-revalidation on mutation, FIFO bounding, and backend-switch
-invalidation (the satellite-2 seam: a factor computed by the departed
-substrate must never be reused)."""
+"""The front door's Cholesky memo: probe-once semantics for unchanged
+SPD operands, exact re-probing after any in-place edit, lifetime tied
+to the operand, FIFO bounding, and per-entry backends (a factor computed
+by one substrate must never be reused under another)."""
+
+import gc
 
 import numpy as np
 import pytest
 
-from repro import (backends, invalidate_structure_cache, solve,
+import repro
+from repro import (backends, invalidate_structure_cache, la_posv, solve,
                    structure_cache_stats)
 from repro.dispatch_front import cache
 from repro.dispatch_front.probe import probe
+from repro.errors import Info
 
 
 @pytest.fixture(autouse=True)
@@ -26,6 +30,23 @@ def _spd(n, seed=0):
     return (a + a.T) / 2
 
 
+def _routed_on_fresh_copy(a, b):
+    """What the routed driver returns for ``a`` seen for the first time:
+    the front door's plan for a fresh copy, run as a direct call."""
+    fresh = a.copy()
+    plan = solve(fresh, b, explain=True)
+    bw = b.copy()
+    getattr(repro, plan.chosen_driver)(fresh, bw)
+    return plan, bw
+
+
+def _other_backend():
+    names = backends.available_backends()
+    if len(names) < 2:
+        pytest.skip("only one backend registered")
+    return [n for n in names if n != backends.get_backend_name()][0]
+
+
 def test_repeat_solve_probes_once():
     a = _spd(6)
     b = a @ np.arange(1.0, 7.0)
@@ -38,7 +59,6 @@ def test_repeat_solve_probes_once():
 
 
 def test_cache_hit_reports_zero_probe_cost():
-    from repro.errors import Info
     a = _spd(5, seed=1)
     b = a @ np.ones(5)
     first, second = Info(), Info()
@@ -50,24 +70,70 @@ def test_cache_hit_reports_zero_probe_cost():
 
 
 def test_mutation_is_detected_and_reclassified():
-    a = _spd(4, seed=2)           # 16 elements: fully fingerprinted
+    a = _spd(4, seed=2)
     b = a @ np.ones(4)
     solve(a, b)
     assert structure_cache_stats()["entries"] == 1
     a[0, 1] += 1.0                # break symmetry in place
-    st = cache.lookup(a)
-    assert st is None             # fingerprint drift evicts the entry
+    assert cache.lookup(a) is None    # exact check misses, entry dropped
     assert structure_cache_stats()["invalidated"] >= 1
-    from repro.errors import Info
     info = Info()
     solve(a, a @ np.ones(4), info=info)
     assert info.chosen_driver == "la_gesv"
 
 
+def test_spd_pair_edit_is_never_served_a_stale_factor():
+    # Regression: one symmetric off-diagonal pair edited in place, far
+    # from any sparse sample of the operand, then the same array solved
+    # again.  A stale trial-Cholesky factor returned a wrong answer
+    # (relative residual ~1e-3) without raising or warning.
+    n = 64
+    a = _spd(n, seed=11)
+    b = a @ np.random.default_rng(12).standard_normal(n)
+    solve(a, b)
+    a[5, 9] += 3.0
+    a[9, 5] += 3.0
+    info = Info()
+    x = solve(a, b, info=info)
+    plan, want = _routed_on_fresh_copy(a, b)
+    np.testing.assert_array_equal(x, want)
+    assert plan.chosen_driver == info.chosen_driver == "la_posv"
+    assert info.probe_cost > 0.0
+
+
+def test_triangular_made_general_is_rerouted():
+    # Regression: an upper-triangular operand given one nonzero below
+    # the diagonal in place kept its stale ``triangular`` route and was
+    # solved by la_trtrs reading only the upper triangle.
+    n = 64
+    rng = np.random.default_rng(13)
+    a = np.triu(rng.standard_normal((n, n))) + n * np.eye(n)
+    b = a @ rng.standard_normal(n)
+    first = Info()
+    solve(a, b, info=first)
+    assert first.chosen_driver == "la_trtrs"
+    a[40, 3] = 1.0
+    info = Info()
+    x = solve(a, b, info=info)
+    plan, want = _routed_on_fresh_copy(a, b)
+    np.testing.assert_array_equal(x, want)
+    assert plan.chosen_driver == info.chosen_driver == "la_gesv"
+    assert structure_cache_stats()["entries"] == 0    # nothing to reuse
+
+
+def test_entry_dies_with_its_operand():
+    a = _spd(8, seed=14)
+    solve(a, a @ np.ones(8))
+    assert structure_cache_stats()["entries"] == 1
+    del a
+    gc.collect()
+    assert structure_cache_stats()["entries"] == 0
+
+
 def test_store_is_fifo_bounded():
-    keep = []                     # hold references so ids stay unique
+    keep = []                     # held alive: entries die with operands
     for k in range(cache.MAX_ENTRIES + 8):
-        a = np.diag(np.full(2, float(k + 1)))
+        a = _spd(3, seed=k)
         keep.append(a)
         cache.store(a, probe(a))
     assert structure_cache_stats()["entries"] == cache.MAX_ENTRIES
@@ -86,33 +152,43 @@ def test_invalidate_one_array_and_all():
     assert structure_cache_stats()["entries"] == 0
 
 
-def test_backend_switch_clears_cache_and_bumps_epoch():
-    names = backends.available_backends()
-    if len(names) < 2:
-        pytest.skip("only one backend registered")
-    other = [n for n in names if n != backends.get_backend_name()][0]
-    a = _spd(5, seed=5)
-    cache.store(a, probe(a))
-    epoch = structure_cache_stats()["epoch"]
+def _posv(a, b):
+    bw = b.copy()
+    la_posv(a.copy(), bw, uplo="U")
+    return bw
+
+
+def test_backend_switch_never_reuses_the_departed_factor():
+    other = _other_backend()
+    a = _spd(64, seed=5)
+    b = a @ np.ones(64)
+    solve(a, b)                   # factor computed by the current backend
     previous = backends.set_backend(other)
     try:
-        stats = structure_cache_stats()
-        assert stats["entries"] == 0
-        assert stats["epoch"] == epoch + 1
+        info = Info()
+        x = solve(a, b, info=info)
+        assert info.probe_cost > 0.0          # re-probed under `other`
+        np.testing.assert_array_equal(x, _posv(a, b))
     finally:
         backends.set_backend(previous)
+    info = Info()
+    x = solve(a, b, info=info)
+    assert info.probe_cost > 0.0              # and again on the way back
+    np.testing.assert_array_equal(x, _posv(a, b))
 
 
 def test_use_backend_round_trip_also_invalidates():
-    names = backends.available_backends()
-    if len(names) < 2:
-        pytest.skip("only one backend registered")
-    other = [n for n in names if n != backends.get_backend_name()][0]
-    a = _spd(5, seed=6)
-    cache.store(a, probe(a))
-    epoch = structure_cache_stats()["epoch"]
+    other = _other_backend()
+    a = _spd(64, seed=6)
+    b = a @ np.ones(64)
+    solve(a, b)
     with backends.use_backend(other):
-        assert structure_cache_stats()["entries"] == 0
-    # Entry and restore are both effective switches: two epoch bumps,
-    # and anything cached inside the block is dropped on the way out.
-    assert structure_cache_stats()["epoch"] == epoch + 2
+        info = Info()
+        x = solve(a, b, info=info)
+        assert info.probe_cost > 0.0
+        np.testing.assert_array_equal(x, _posv(a, b))
+    # The factor remembered inside the block is not reused after it.
+    info = Info()
+    x = solve(a, b, info=info)
+    assert info.probe_cost > 0.0
+    np.testing.assert_array_equal(x, _posv(a, b))

@@ -8,6 +8,8 @@ to its transpose would give ``la_sysv`` a *different* answer than
 ``la_gesv``, so it must route as general.
 """
 
+import importlib
+
 import numpy as np
 
 from repro.dispatch_front.probe import (Structure, bandwidths, probe,
@@ -124,3 +126,75 @@ def test_probe_stack_classifies_uniform_stacks():
     assert probe_stack(spd).label == "spd"
     assert probe_stack(g).label == "general"
     assert probe_stack(np.ones((2, 3, 5))).label == "general"
+
+
+# -- the O(1) corner exits reach the full-sweep verdict ---------------
+
+def _verdict(st):
+    return (st.label, st.kl, st.ku, st.uplo, st.symmetric, st.hermitian)
+
+
+def _exactness_cases():
+    """The cases above, plus the inputs the corner exits must not get
+    wrong: tiny orders, zero and NaN corners, conjugate corner pairs
+    and near-miss symmetry."""
+    g = _rng(20).standard_normal((6, 6))
+    c = g + 1j * _rng(21).standard_normal((6, 6))
+    cases = {}
+    for n in range(4):
+        cases[f"order {n}"] = g[:n, :n] + n * np.eye(n)
+        cases[f"order {n}, spd"] = g[:n, :n] @ g[:n, :n].T + np.eye(n)
+    cases.update({
+        "diagonal": np.diag(np.arange(1.0, 5.0)),
+        "upper": np.triu(g) + 6 * np.eye(6),
+        "lower": np.tril(g) + 6 * np.eye(6),
+        "tridiagonal": np.triu(np.tril(g, 1), -1) + 6 * np.eye(6),
+        "banded": np.triu(np.tril(_rng(2).standard_normal((12, 12)), 2),
+                          -3) + 12 * np.eye(12),
+        "spd": g @ g.T + 6 * np.eye(6),
+        "symmetric": g + g.T,
+        "general": g,
+        "hpd": (c @ c.conj().T + (c @ c.conj().T).conj().T) / 2
+        + 6 * np.eye(6),
+        "complex symmetric": c + c.T,
+        "complex general": c,
+    })
+    zero = g + g.T
+    zero[0, -1] = zero[-1, 0] = 0.0
+    cases["zero corners, symmetric"] = zero
+    one_zero = g.copy()
+    one_zero[-1, 0] = 0.0
+    cases["one zero corner"] = one_zero
+    for name, (lo, hi) in {"NaN corners": (np.nan, np.nan),
+                           "NaN lower corner": (np.nan, 1.0)}.items():
+        nan = g + g.T
+        nan[-1, 0], nan[0, -1] = lo, hi
+        cases[name] = nan
+    herm = c + c.conj().T          # corner pair conjugate, not equal
+    cases["hermitian, conjugate corners"] = herm
+    real_corners = herm.copy()
+    real_corners[0, -1] = real_corners[-1, 0] = 2.0
+    cases["hermitian, real corners"] = real_corners
+    bad_diag = herm.copy()
+    bad_diag[2, 2] += 1j           # corners agree, diagonal not real
+    cases["hermitian corners, complex diagonal"] = bad_diag
+    near = g + g.T + 6 * np.eye(6)
+    near[0, 5] += 1e-12            # near miss at the corner
+    cases["near-miss at the corner"] = near
+    inner = g + g.T + 6 * np.eye(6)
+    inner[1, 3] += 1e-12           # near miss the corners cannot see
+    cases["near-miss inside"] = inner
+    return cases
+
+
+def test_corner_exits_reach_the_full_sweep_verdict(monkeypatch):
+    probe_mod = importlib.import_module("repro.dispatch_front.probe")
+    cases = _exactness_cases()
+    fast = {name: _verdict(probe(a)) for name, a in cases.items()}
+    monkeypatch.setattr(probe_mod, "_CORNER_MIN_N", 10**9)
+    full = {name: _verdict(probe(a)) for name, a in cases.items()}
+    assert fast == full
+    assert full["hpd"][0] == "hpd"
+    assert full["hermitian, conjugate corners"][0] == "hermitian"
+    assert full["near-miss at the corner"][0] == "general"
+    assert full["near-miss inside"][0] == "general"
