@@ -22,8 +22,9 @@ BATCH_RECORDS = {}
 # SPD-traffic win from reusing a remembered Cholesky factor.
 DISPATCH_RECORDS = {}
 
-# The resilient seam's cost on the undeadlined la_gesv hot loop, filled
-# by test_resilience_overhead.py and flushed to BENCH_resilience.json.
+# backend -> the resilient seam's cost on the undeadlined la_gesv hot
+# loop, filled by test_resilience_overhead.py and flushed to
+# BENCH_resilience.json.
 RESILIENCE_RECORD = {}
 
 
@@ -124,7 +125,7 @@ def record_resilience(record):
 
 def _write_resilience_report(root):
     (root / "BENCH_resilience.json").write_text(
-        json.dumps(RESILIENCE_RECORD, indent=2) + "\n")
+        json.dumps(RESILIENCE_RECORD, indent=2, sort_keys=True) + "\n")
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -14,6 +14,16 @@ the :mod:`repro.core` drivers cannot tell the substrates apart:
 * argument errors raise through :func:`repro.errors.xerbla` with the
   reference kernels' positions.
 
+Every adapter is **transactional**: it raises only before its first
+write to any operand.  Arguments are checked first, SciPy works on its
+own copies (no ``overwrite_*``), and the operands are written only
+after SciPy has returned; the ``*_stack`` adapters keep every slice's
+outputs and write the whole stack back after the last slice.  Each
+adapter carries ``transactional = True``, which lets the resilience
+seam (:mod:`repro.resilience.dispatch`) call it without an up-front
+operand snapshot: a failed attempt leaves the operands as the caller
+passed them, so the retry ladder starts only after a failure.
+
 Only simple dense/band/tridiagonal drivers plus the dense symmetric
 eigensolvers, SVD and GELS are adapted.  The computational kernels the
 expert drivers build on (``sytrf``/``sytrs``, condition estimators,
@@ -98,15 +108,16 @@ def gesv_stack(a, b):
     batch = a.shape[0]
     pivs = np.empty((batch, n), dtype=np.int64)
     infos = np.empty(batch, dtype=np.int64)
+    outs = []
     for k in range(batch):
-        ak = a[k]
-        bk = _as2d(b[k])
-        lu, piv, x, info = f(ak, bk)
-        ak[...] = lu
-        if info == 0:
-            bk[...] = x
+        lu, piv, x, info = f(a[k], _as2d(b[k]))
+        outs.append((lu, x))
         pivs[k] = piv
         infos[k] = info
+    for k, (lu, x) in enumerate(outs):
+        a[k] = lu
+        if infos[k] == 0:
+            _as2d(b[k])[...] = x
     return pivs, infos
 
 
@@ -162,17 +173,18 @@ def posv_stack(a, b, uplo="U"):
     lower = uplo.upper() == "L"
     batch = a.shape[0]
     infos = np.empty(batch, dtype=np.int64)
+    outs = []
     for k in range(batch):
-        ak = a[k]
-        bk = _as2d(b[k])
-        c, x, info = f(ak, bk, lower=lower)
-        ak[...] = c
+        c, x, info = f(a[k], _as2d(b[k]), lower=lower)
         info = int(info)
         if info == 0:
             info = _nan_diag_info(np.diagonal(c).real)
-        if info == 0:
-            bk[...] = x
+        outs.append((c, x))
         infos[k] = info
+    for k, (c, x) in enumerate(outs):
+        a[k] = c
+        if infos[k] == 0:
+            _as2d(b[k])[...] = x
     return infos
 
 
@@ -195,13 +207,14 @@ def gels_stack(a, b, trans="N"):
     f = _flavor("gels", a.dtype)
     batch = a.shape[0]
     infos = np.empty(batch, dtype=np.int64)
+    outs = []
     for k in range(batch):
-        ak = a[k]
-        bk = _as2d(b[k])
-        lqr, x, info = f(ak, bk, trans=t)
-        ak[...] = lqr
-        bk[...] = x
+        lqr, x, info = f(a[k], _as2d(b[k]), trans=t)
+        outs.append((lqr, x))
         infos[k] = info
+    for k, (lqr, x) in enumerate(outs):
+        a[k] = lqr
+        _as2d(b[k])[...] = x
     return infos
 
 
@@ -344,11 +357,6 @@ def heev(a, jobz="N", uplo="U"):
 
 
 def gesvd(a, jobu="N", jobvt="N", superdiag=None):
-    # SciPy's gesvd does not expose the bidiagonal work array; the
-    # superdiagonal output is defined (all zero) only on convergence,
-    # and LAPACK overwrites it before any info > 0 return anyway.
-    if superdiag is not None:
-        superdiag[:] = 0
     ju, jvt = jobu.upper(), jobvt.upper()
     if ju not in ("N", "S", "A"):
         xerbla("GESVD", 2, f"jobu={jobu!r}")
@@ -361,16 +369,23 @@ def gesvd(a, jobu="N", jobvt="N", superdiag=None):
         s = np.zeros(0, dtype=rdtype)
         u = np.eye(m, dtype=a.dtype) if ju == "A" else None
         vt = np.eye(n, dtype=a.dtype) if jvt == "A" else None
-        return s, u, vt, 0
-    f = _flavor("gesvd", a.dtype)
-    if ju == "N" and jvt == "N":
-        _, s, _, info = f(a, compute_uv=0)
-        return s, None, None, int(info)
-    full = 1 if "A" in (ju, jvt) else 0
-    u, s, vt, info = f(a, compute_uv=1, full_matrices=full)
-    u_out = None if ju == "N" else (u if ju == "A" else u[:, :k])
-    vt_out = None if jvt == "N" else (vt if jvt == "A" else vt[:k, :])
-    return s, u_out, vt_out, int(info)
+        info = 0
+    elif ju == "N" and jvt == "N":
+        _, s, _, info = _flavor("gesvd", a.dtype)(a, compute_uv=0)
+        u = vt = None
+    else:
+        full = 1 if "A" in (ju, jvt) else 0
+        u, s, vt, info = _flavor("gesvd", a.dtype)(
+            a, compute_uv=1, full_matrices=full)
+        u = None if ju == "N" else (u if ju == "A" else u[:, :k])
+        vt = None if jvt == "N" else (vt if jvt == "A" else vt[:k, :])
+    # SciPy's gesvd does not expose the bidiagonal work array; the
+    # superdiagonal output is defined (all zero) only on convergence,
+    # and LAPACK overwrites it before any info > 0 return anyway.
+    # Written only once SciPy has returned, like every other operand.
+    if superdiag is not None:
+        superdiag[:] = 0
+    return s, u, vt, int(info)
 
 
 def gels(a, b, trans="N"):
@@ -399,6 +414,10 @@ _DTYPES = {
 _ADAPTERS = (gesv, gesv_stack, getrf, getrs, posv, posv_stack, trtrs,
              potrf, potrs, sysv, hesv, gtsv, ptsv, gbsv, pbsv, syev,
              heev, gesvd, gels, gels_stack)
+
+for _adapter in _ADAPTERS:
+    _adapter.transactional = True   # the contract in the module docstring
+del _adapter
 
 
 def build_accelerated_backend():

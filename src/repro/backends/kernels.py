@@ -12,8 +12,11 @@ through :func:`repro.resilience.dispatch.call`, which layers retry,
 accelerated→reference escalation, circuit breaking, and chaos injection
 over the resolved kernel.  The registry's ``resolve`` and
 ``get_backend_name`` are handed in as parameters so the resilience
-package never has to import this one (avoiding an import cycle).  The
-reference-served, un-chaosed call keeps a near-zero-overhead fast path.
+package never has to import this one (avoiding an import cycle).  With
+no chaos armed and no breaker tracking, a call resolves its kernel once
+and calls it directly when the reference backend is selected or the
+kernel is declared ``transactional`` (every accelerated adapter): no
+operand snapshot, no breaker bookkeeping.
 
 lalint treats these imports as substrate imports: LA004/LA006 see a
 dispatched call as "the lapack77 call", and LA008 requires driver

@@ -7,10 +7,20 @@ imports :mod:`repro.backends` at module level (the backends package
 imports :mod:`repro.faults` and the drivers import the backends — a
 top-level import here would close a cycle).
 
-The undeadlined, un-chaosed, reference-served call — the overwhelming
-majority — takes a fast path that adds two flag reads and one name
-compare over the pre-resilience seam.  Everything else goes through
-:func:`_resilient_call`:
+While no chaos is armed and no breaker is tracking, :func:`call`
+resolves the kernel once and calls it directly when the reference
+backend is selected or when the kernel is declared *transactional*: a
+function attribute ``transactional = True`` promising that it raises
+only before its first write to any operand (every accelerated adapter
+is; see :mod:`repro.backends.accelerated`).  That path adds two flag
+reads, one name compare and one attribute read over the pre-resilience
+seam: no snapshot, no policy read, no breaker bookkeeping.  A
+transactional kernel that fails anyway has left its operands pristine,
+so its failure enters the ladder below as attempt #1 already failed,
+with the same call-log record and breaker failure, and the ladder
+snapshots only then.  Everything else — foreign backends, reference
+fallbacks under a non-reference selection, armed chaos, tracked
+breakers — goes through :func:`_resilient_call` from the start:
 
 1. **Classify.**  ``LinAlgError`` is a contract *verdict* (singular
    matrix, failed convergence): never retried, counts as breaker
@@ -18,8 +28,9 @@ compare over the pre-resilience seam.  Everything else goes through
    always propagate.  Anything else is a *transient kernel failure*.
 2. **Retry.**  Transient failures retry the same kernel up to the
    policy's ``retries`` budget.  Because kernels mutate their array
-   arguments in place, the arrays are snapshotted up front and restored
-   before every re-attempt.
+   arguments in place, the arrays are snapshotted before the first
+   attempt the ladder makes itself and restored before every
+   re-attempt.
 3. **Escalate.**  When a non-reference rung exhausts its budget, the
    call escalates to the reference substrate (the accelerated→reference
    ladder; the drivers' own simple→expert ladder sits above this seam).
@@ -79,11 +90,25 @@ def reset_open_warnings() -> None:
 
 def call(routine, dtype, args, kwargs, resolve, get_backend_name):
     """Dispatch one kernel call through the resilience ladder."""
-    if (not faults.CHAOS_ACTIVE and not breaker.TRACKING
-            and get_backend_name() == "reference"):
-        return resolve(routine, dtype)(*args, **kwargs)
+    selected = get_backend_name()
+    kernel = resolve(routine, dtype)
+    armed = faults.CHAOS_ACTIVE or breaker.TRACKING
+    if not armed and selected == "reference":
+        return kernel(*args, **kwargs)
+    if armed or not getattr(kernel, "transactional", False):
+        return _resilient_call(routine, dtype, args, kwargs, resolve,
+                               selected, kernel)
+    try:
+        return kernel(*args, **kwargs)
+    except (LinAlgError, KeyboardInterrupt, SystemExit):
+        raise
+    except Exception as exc:
+        failed = exc
+    # The operands are pristine: replay the failure as the ladder's
+    # attempt #1 rather than as a fresh start (outside the handler, so
+    # whatever the ladder raises is not chained to this failure).
     return _resilient_call(routine, dtype, args, kwargs, resolve,
-                           get_backend_name())
+                           selected, kernel, failed=failed)
 
 
 def snapshot_set(args, kwargs) -> list:
@@ -121,15 +146,24 @@ def _warn_open(serving, routine, window):
     warnings.warn(message, BackendFallbackWarning, stacklevel=5)
 
 
-def _resilient_call(routine, dtype, args, kwargs, resolve, selected):
-    reference = resolve(routine, dtype, backend="reference")
-    primary = resolve(routine, dtype)
-    serving = "reference" if primary is reference else selected
+def _resilient_call(routine, dtype, args, kwargs, resolve, selected,
+                    primary, failed=None):
+    """The full ladder for one crossing.  ``primary`` is the kernel
+    :func:`call` resolved; ``failed`` is the exception a transactional
+    ``primary`` already raised on attempt #1 with no breaker tracking,
+    so that attempt is recorded here rather than made again."""
     policy = get_resilience()
+    if failed is not None:
+        # Transactional kernels are never the reference kernel.
+        serving, reference = selected, None
+    else:
+        reference = primary if selected == "reference" \
+            else resolve(routine, dtype, backend="reference")
+        serving = "reference" if primary is reference else selected
 
     events: list[str] = []
     disposition = "closed"
-    if serving != "reference":
+    if serving != "reference" and failed is None:
         disposition = breaker.admit(serving, routine)
         if disposition == "open":
             events.append("open:{}:{}".format(serving, routine))
@@ -137,12 +171,10 @@ def _resilient_call(routine, dtype, args, kwargs, resolve, selected):
         elif disposition == "probe":
             events.append("probe:{}:{}".format(serving, routine))
 
-    if disposition == "open":
+    if disposition == "open" or serving == "reference":
         rungs = [("reference", reference)]
-    elif serving != "reference":
-        rungs = [(serving, primary), ("reference", reference)]
     else:
-        rungs = [("reference", reference)]
+        rungs = [(serving, primary), ("reference", reference)]
 
     exempt = routine in _exempt_kernels()
     retries = 0 if exempt else policy.retries
@@ -157,56 +189,62 @@ def _resilient_call(routine, dtype, args, kwargs, resolve, selected):
     attempt = 0
     last_exc: BaseException | None = None
     for rung_backend, kernel in rungs:
+        if kernel is None:
+            kernel = resolve(routine, dtype, backend="reference")
         for _ in range(retries + 1):
             attempt += 1
-            if attempt > 1:
-                _restore(saved)
-            try:
-                fault = faults.chaos_fault(routine, rung_backend) \
-                    if faults.CHAOS_ACTIVE else None
-                if fault is not None:
-                    raise fault
-                result = kernel(*args, **kwargs)
-            except LinAlgError:
-                # Contract verdict: the kernel worked, the input was the
-                # problem.  Counts as breaker success; never retried.
-                if not exempt:
-                    note = breaker.record_success(rung_backend, routine)
-                    if note:
-                        events.append("closed:{}:{}".format(
-                            rung_backend, routine))
-                        noteworthy = True
-                if noteworthy or failures:
-                    calllog.record("{}:{}#{}:verdict".format(
-                        rung_backend, routine, attempt))
-                    for event in events:
-                        calllog.note(event)
-                raise
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as exc:
-                failures += 1
-                last_exc = exc
-                calllog.record("{}:{}#{}:error={}".format(
-                    rung_backend, routine, attempt, type(exc).__name__))
-                if not exempt:
-                    note = breaker.record_failure(rung_backend, routine)
-                    if note:
-                        events.append("{}:{}:{}".format(
-                            note, rung_backend, routine))
-                continue
+            if failed is not None:
+                last_exc, failed = failed, None
+            else:
+                if attempt > 1:
+                    _restore(saved)
+                try:
+                    fault = faults.chaos_fault(routine, rung_backend) \
+                        if faults.CHAOS_ACTIVE else None
+                    if fault is not None:
+                        raise fault
+                    result = kernel(*args, **kwargs)
+                except LinAlgError:
+                    # Contract verdict: the kernel worked, the input was
+                    # the problem.  Counts as breaker success; never
+                    # retried.
+                    if not exempt:
+                        note = breaker.record_success(rung_backend, routine)
+                        if note:
+                            events.append("closed:{}:{}".format(
+                                rung_backend, routine))
+                            noteworthy = True
+                    if noteworthy or failures:
+                        calllog.record("{}:{}#{}:verdict".format(
+                            rung_backend, routine, attempt))
+                        for event in events:
+                            calllog.note(event)
+                    raise
+                except (KeyboardInterrupt, SystemExit):
+                    raise
+                except Exception as exc:
+                    last_exc = exc
+                else:
+                    if not exempt:
+                        note = breaker.record_success(rung_backend, routine)
+                        if note:
+                            events.append("closed:{}:{}".format(
+                                rung_backend, routine))
+                            noteworthy = True
+                    if noteworthy or failures:
+                        calllog.record("{}:{}#{}".format(
+                            rung_backend, routine, attempt))
+                        for event in events:
+                            calllog.note(event)
+                    return result
+            failures += 1
+            calllog.record("{}:{}#{}:error={}".format(
+                rung_backend, routine, attempt, type(last_exc).__name__))
             if not exempt:
-                note = breaker.record_success(rung_backend, routine)
+                note = breaker.record_failure(rung_backend, routine)
                 if note:
-                    events.append("closed:{}:{}".format(
-                        rung_backend, routine))
-                    noteworthy = True
-            if noteworthy or failures:
-                calllog.record("{}:{}#{}".format(
-                    rung_backend, routine, attempt))
-                for event in events:
-                    calllog.note(event)
-            return result
+                    events.append("{}:{}:{}".format(
+                        note, rung_backend, routine))
 
     # Every rung exhausted: surface the breaker notes, then let the last
     # transient failure propagate to the caller.

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import ArgSpec, Check, DriverSpec
+from .registry import SPECS
 
 __all__ = ["validate", "validate_args", "validate_batch"]
 
@@ -332,7 +333,6 @@ def validate(spec: DriverSpec, bound: dict) -> int:
 
 def validate_args(driver: str, **bound) -> int:
     """Validate *bound* arguments against *driver*'s registered spec."""
-    from .registry import SPECS
     return validate(SPECS[driver], bound)
 
 

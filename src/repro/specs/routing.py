@@ -73,7 +73,9 @@ def routing_table():
     """``{problem_kind: {structure: [spec, ...]}}`` from the registry.
 
     Only structures some spec explicitly claims appear; the refinement
-    chains make the rest reachable at :func:`route` time.
+    chains make the rest reachable at :func:`route` time.  Solves never
+    call this: :data:`_LADDERS` derives every candidate ladder from it
+    once, at import.
     """
     table = {}
     for spec in _claims():
@@ -87,21 +89,44 @@ def _serves_dtype(spec, iscomplex):
     return spec.dtypes != ("real" if iscomplex else "complex")
 
 
-def candidates(kind, structure, iscomplex=False):
-    """Every spec that could serve the triple, best first.
-
-    Walks the refinement chain and, at each structure, yields the specs
-    claiming it (registry order) whose dtype domain covers the input.
-    """
-    table = routing_table().get(kind)
-    if table is None:
-        raise ValueError("unknown problem kind {!r}; known: {}".format(
-            kind, ", ".join(PROBLEM_KINDS)))
+def _ladder(row, structure, iscomplex):
+    """The specs of one routing-table row that could serve the pair,
+    best first: at each structure on the refinement chain, the specs
+    claiming it (registry order) whose dtype domain covers the input."""
     out = []
     for label in refinement_chain(structure):
-        out.extend(s for s in table.get(label, ())
+        out.extend(s for s in row.get(label, ())
                    if _serves_dtype(s, iscomplex) and s not in out)
-    return out
+    return tuple(out)
+
+
+def _derive_ladders():
+    table = routing_table()
+    return {(kind, structure, iscomplex):
+            _ladder(table.get(kind, {}), structure, iscomplex)
+            for kind in table for structure in STRUCTURES
+            for iscomplex in (False, True)}
+
+
+#: ``(kind, structure, iscomplex) -> (spec, ...)``: every candidate
+#: ladder, derived once from the frozen registry.
+_LADDERS = _derive_ladders()
+
+
+def candidates(kind, structure, iscomplex=False):
+    """Every spec that could serve the triple, best first, as a tuple.
+
+    Walks the refinement chain and, at each structure, takes the specs
+    claiming it (registry order) whose dtype domain covers the input.
+    """
+    try:
+        return _LADDERS[kind, structure, bool(iscomplex)]
+    except KeyError:
+        if kind not in {k for k, _, _ in _LADDERS}:
+            raise ValueError("unknown problem kind {!r}; known: {}".format(
+                kind, ", ".join(PROBLEM_KINDS))) from None
+        refinement_chain(structure)     # raises for an unknown label
+        raise
 
 
 def route(kind, structure, iscomplex=False):
