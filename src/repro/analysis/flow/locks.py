@@ -1,51 +1,32 @@
 """The laflow lock model and concurrency rules (LA023–LA026).
 
-LA015/LA016 are syntactic: a mutation of owned global state must sit
-lexically inside ``with STATE_LOCK:`` in its owner module.  This module
-upgrades that to real lockset reasoning on top of the interprocedural
-interpreter: the abstract environment carries the set of ``(lock,
-region)`` pairs held at every point (:data:`~.interp.LOCKSET`), helper
-summaries record the guarded state they touch and the locks they
-acquire, and replay unions the caller's lockset on top — so a helper
-that *relies on* its caller's lock (``breaker._sync``) is clean at
-every locked call site while still flagging an unlocked one.
+Lockset reasoning on top of the interprocedural interpreter: the
+abstract environment carries the set of ``(lock, region)`` pairs held
+at every point (:data:`~.interp.LOCKSET`), helper summaries record the
+guarded state they touch and the locks they acquire, and replay unions
+the caller's lockset on top — so a helper that *relies on* its
+caller's lock (``breaker._sync``) is clean at every locked call site
+while still flagging an unlocked one.
 
-The rules are driven by a declarative **guarded_by registry**: every
-shared mutable name in the package — the policy object, backend
-registry and selection, blocking knobs, breaker registry and tracking
-flag, resilience policy, deadline arming, fault/chaos tables, the
-front door's Cholesky memo with its stats counters, and the
-rate-limiter windows behind the fallback-announcement state — mapped to
-the lock that owns it.  The module-level entries are derived from the
-same owner tables LA015/LA016 police (:data:`~.rules.GLOBAL_STATE`,
-:data:`~.rules.RESILIENCE_STATE`) plus the registries that grew after
-those rules landed; instance state (``RateLimiter._seen``) is guarded
-by a per-object lock discovered from the class ``__init__``.  A module
+The rules are driven by one declarative **guarded_by registry**
+(:data:`GUARDED_BY`): every shared mutable name in the package — the
+policy object, backend registry and selection, blocking knobs, breaker
+registry and tracking flag, resilience policy, deadline arming and
+stack, fault/chaos tables, the front door's Cholesky memo with its
+stats counters, and the retry exemption set — mapped to its owner
+module, the lock that guards it and the owner API everyone else goes
+through.  Instance state (``RateLimiter._seen``) is guarded by a
+per-object lock discovered from the class ``__init__``.  A module
 outside the shipped tree can declare its own table with a top-level
 ``_LAFLOW_GUARDED = {"_NAME": "LOCK"}`` literal (fixtures use this).
 
-The four rules:
-
-* **LA023 — lockset consistency.**  Every read *and* write of a
-  guarded name must happen with its lock in the current lockset,
-  interprocedurally.  Deliberate unlocked fast-path reads carry a
-  ``# laflow: benign-race — <why>`` pragma; the rule verifies each
-  pragma has a justification and actually covers a reached access.
-* **LA024 — atomicity.**  A read of a guarded name under one lock
-  region followed by a write under a *disjoint* region is a split
-  check-then-act (the classic cache lookup-then-insert race shape).
-  Justified splits carry ``# laflow: atomic-split — <why>`` on either
-  access line or on the root call site; generator bodies (save/restore
-  context managers) are exempt — their two halves bracket the caller's
-  code by design.
-* **LA025 — lock order.**  The static acquisition graph (which locks
-  are held when another is acquired, across ``with`` blocks,
-  ``.acquire()`` calls and summary replay) must be acyclic;
-  re-acquiring a held lock is fine for re-entrant locks (STATE_LOCK is
-  an RLock) and a self-deadlock for plain ones.
-* **LA026 — thread-local escape.**  A value derived from thread-local
-  state (``_DEADLINES``, the calllog ``_FRAMES``) must not be stored
-  into module globals or long-lived shared containers.
+The four rules (each check's docstring has the details): **LA023** —
+the owner boundary and lockset consistency; **LA024** — no
+check-then-act split across lock regions; **LA025** — an acyclic
+lock-acquisition order, with STATE_LOCK's re-entrancy modelled;
+**LA026** — thread-local state never escapes into shared containers.
+Deliberate exceptions carry ``# laflow: benign-race — <why>`` or
+``# laflow: atomic-split — <why>`` pragmas.
 
 Pragma placement matters and is checked: a pragma on a line no guarded
 access reaches is itself a finding, so stale suppressions cannot
@@ -63,10 +44,8 @@ from dataclasses import dataclass, field
 from ..findings import Finding
 from ..model import Project, body_statements, call_name
 from . import values as V
-from .interp import FlowInterpreter
+from .interp import MUTATORS, FlowInterpreter
 from .summaries import SummaryEngine
-from .rules import (GLOBAL_STATE, RESILIENCE_STATE, STATE_LOCK,
-                    _UNLOCKED_OK)
 
 __all__ = ["GUARDED_BY", "GUARDED_ATTRS", "ConcurrencySummaryEngine",
            "check_la023", "check_la024", "check_la025", "check_la026"]
@@ -76,30 +55,51 @@ __all__ = ["GUARDED_BY", "GUARDED_ATTRS", "ConcurrencySummaryEngine",
 # The guarded_by registry
 # ---------------------------------------------------------------------
 
-#: name -> (owner-path suffix, owning lock).  Seeded from the LA015 /
-#: LA016 owner tables (everything there is STATE_LOCK-guarded except
-#: the thread-local deadline stack), then extended with the shared
-#: registries that grew after those rules landed.
-GUARDED_BY: dict = {}
-for _var, (_owner, _api) in {**GLOBAL_STATE, **RESILIENCE_STATE}.items():
-    if _var in _UNLOCKED_OK:        # threading.local: per-thread
-        continue
-    GUARDED_BY[_var] = (_owner, STATE_LOCK)
-GUARDED_BY.update({
-    # backend registry
-    "_REGISTRY": ("repro/backends/__init__.py", STATE_LOCK),
-    # breaker tracking flag (the registry itself is LA016-inherited)
-    "TRACKING": ("repro/resilience/breaker.py", STATE_LOCK),
-    # fault-injection tables and their fast-path gates
-    "_FAULTS": ("repro/faults.py", STATE_LOCK),
-    "ACTIVE": ("repro/faults.py", STATE_LOCK),
-    "CHAOS_ACTIVE": ("repro/faults.py", STATE_LOCK),
-    # the front door's Cholesky memo and its stats counters
-    "_ENTRIES": ("repro/dispatch_front/cache.py", STATE_LOCK),
-    "_STATS": ("repro/dispatch_front/cache.py", STATE_LOCK),
-    # lazily-initialised retry exemption set at the dispatch seam
-    "_EXEMPT": ("repro/resilience/dispatch.py", STATE_LOCK),
-})
+#: The shared re-entrant lock of :mod:`repro._sync`.
+STATE_LOCK = "STATE_LOCK"
+
+_BLOCKING = "ilaenv()/set_block_size()/block_size_override()"
+_DEADLINE_API = "repro.deadline()/remaining()/check()"
+
+#: name -> (owner-path suffix, owning lock, owner API).  Only the owner
+#: may touch the name, and only under the lock; every other module goes
+#: through the API.  The thread-local deadline stack has lock ``None``:
+#: per-thread by construction, so its owner needs no lock, but it is
+#: still closed to foreign modules.
+GUARDED_BY = {
+    "_POLICY": ("repro/policy.py", STATE_LOCK,
+                "get_policy()/set_policy()/exception_policy()"),
+    "_SELECTED": ("repro/backends/__init__.py", STATE_LOCK,
+                  "get_backend_name()/set_backend()/use_backend()"),
+    "_REGISTRY": ("repro/backends/__init__.py", STATE_LOCK,
+                  "register_backend()/get_backend()/available_backends()"),
+    "_BLOCK_SIZES": ("repro/config.py", STATE_LOCK, _BLOCKING),
+    "_MIN_BLOCK": ("repro/config.py", STATE_LOCK, _BLOCKING),
+    "_CROSSOVER": ("repro/config.py", STATE_LOCK, _BLOCKING),
+    "_BREAKERS": ("repro/resilience/breaker.py", STATE_LOCK,
+                  "admit()/record_failure()/record_success()/"
+                  "breaker_state()/states()/reset_breakers()"),
+    "TRACKING": ("repro/resilience/breaker.py", STATE_LOCK,
+                 "admit()/breaker_state()/states()"),
+    "_RESILIENCE": ("repro/resilience/config.py", STATE_LOCK,
+                    "get_resilience()/set_resilience()/"
+                    "resilience_policy()"),
+    "_ARMED": ("repro/resilience/deadlines.py", STATE_LOCK, _DEADLINE_API),
+    "_DEADLINES": ("repro/resilience/deadlines.py", None, _DEADLINE_API),
+    "_FAULTS": ("repro/faults.py", STATE_LOCK,
+                "install()/remove()/clear()/injected()"),
+    "ACTIVE": ("repro/faults.py", STATE_LOCK, "active()"),
+    "_CHAOS": ("repro/faults.py", STATE_LOCK,
+               "chaos_install()/chaos_remove()/chaos_clear()/"
+               "chaos_fault()"),
+    "CHAOS_ACTIVE": ("repro/faults.py", STATE_LOCK, "chaos_active()"),
+    "_ENTRIES": ("repro/dispatch_front/cache.py", STATE_LOCK,
+                 "lookup()/store()/invalidate()/clear()"),
+    "_STATS": ("repro/dispatch_front/cache.py", STATE_LOCK,
+               "stats()/reset_stats()"),
+    "_EXEMPT": ("repro/resilience/dispatch.py", STATE_LOCK,
+                "exempt_kernels()"),
+}
 
 #: Instance state guarded by a per-object lock: ``"Class.attr" ->
 #: "Class.lockattr"``.  The owner is wherever the class is defined; the
@@ -125,6 +125,11 @@ def _dirname(path: str) -> str:
     return path.rsplit("/", 1)[0] if "/" in path else ""
 
 
+def _is_owner(path: str, owner: str) -> bool:
+    """``path`` (normalised) is the module the owner suffix names."""
+    return path == owner or path.endswith("/" + owner)
+
+
 def _lock_ctor(node) -> str | None:
     """``'Lock' | 'RLock' | 'local'`` for a threading primitive call."""
     if not isinstance(node, ast.Call):
@@ -145,23 +150,22 @@ class ModuleConfig:
     module_globals: set = field(default_factory=set)
     class_locks: dict = field(default_factory=dict)
     class_guarded: dict = field(default_factory=dict)
-    defines_lock: bool = False
-    imports_state_lock: bool = False
+    uses_lock: bool = False     # defines a lock or imports STATE_LOCK
 
     @property
     def relevant(self) -> bool:
         return bool(self.guarded or self.tls_names or self.class_locks
-                    or self.defines_lock)
+                    or self.uses_lock)
 
 
 def _module_config(mod) -> ModuleConfig:
     p = _norm(mod.path)
     cfg = ModuleConfig()
     cfg.reentrant.add(STATE_LOCK)   # repro._sync.STATE_LOCK is an RLock
-    for name, (owner, lock) in GUARDED_BY.items():
-        if p.endswith(owner):
+    for name, (owner, lock, _api) in GUARDED_BY.items():
+        if lock is not None and _is_owner(p, owner):
             cfg.guarded[name] = (name, lock)
-    cfg.imports_state_lock = any(
+    cfg.uses_lock = any(
         alias == "STATE_LOCK"
         for _lvl, _src, _orig, alias in mod.import_records)
     for node in mod.tree.body:
@@ -178,7 +182,7 @@ def _module_config(mod) -> ModuleConfig:
         if ctor == "local":
             cfg.tls_names.update(t.id for t in targets)
         elif ctor in ("Lock", "RLock"):
-            cfg.defines_lock = True
+            cfg.uses_lock = True
             for t in targets:
                 cfg.lock_table[t.id] = t.id
                 if ctor == "RLock":
@@ -270,6 +274,25 @@ def _local_shadows(func) -> set:
 # Import resolution (level-aware, unlike Module.imports)
 # ---------------------------------------------------------------------
 
+def _import_stem(importer, level, dotted) -> str:
+    """The path an import names, without ``.py``/``/__init__.py``:
+    relative imports anchor at the importer's package, absolute ones
+    are just the dotted path (``repro.faults`` -> ``repro/faults``)."""
+    tail = dotted.replace(".", "/") if dotted else ""
+    if level == 0:
+        return tail
+    base = _dirname(_norm(importer.path))
+    for _ in range(level - 1):
+        base = _dirname(base)
+    return f"{base}/{tail}" if tail else base
+
+
+def _names_owner(stem: str, owner: str) -> bool:
+    """An import stem names the owner module (a file or a package)."""
+    return _is_owner(stem + ".py", owner) \
+        or _is_owner(stem + "/__init__.py", owner)
+
+
 class _ImportResolver:
     """Resolve from-imports to project modules by actual file path."""
 
@@ -277,23 +300,15 @@ class _ImportResolver:
         self.index = {_norm(m.path): m for m in project.modules}
 
     def module_for(self, importer, level, dotted):
-        if level > 0:
-            base = _dirname(_norm(importer.path))
-            for _ in range(level - 1):
-                base = _dirname(base)
-            tail = dotted.replace(".", "/") if dotted else ""
-            cand = f"{base}/{tail}" if tail else base
-            if tail:
-                m = self.index.get(cand + ".py")
-                if m is not None:
-                    return m
-            return self.index.get(cand + "/__init__.py")
-        tail = dotted.replace(".", "/") if dotted else ""
-        if not tail:
+        stem = _import_stem(importer, level, dotted)
+        if not stem:
             return None
+        if level > 0:
+            return self.index.get(stem + ".py") \
+                or self.index.get(stem + "/__init__.py")
         for path, m in self.index.items():
-            if path.endswith(f"/{tail}.py") or path == f"{tail}.py" \
-                    or path.endswith(f"/{tail}/__init__.py"):
+            if _is_owner(path, stem + ".py") \
+                    or _is_owner(path, stem + "/__init__.py"):
                 return m
         return None
 
@@ -322,6 +337,71 @@ class _ImportResolver:
 
 
 # ---------------------------------------------------------------------
+# The owner boundary
+# ---------------------------------------------------------------------
+
+_OWNERS = {owner for owner, _lock, _api in GUARDED_BY.values()}
+
+
+def _access_kind(node, parents) -> str:
+    """``"write"`` when a store, ``del`` or mutating method call ends
+    the ``.attr``/``[key]`` chain rooted at ``node``, else ``"read"``."""
+    while isinstance(up := parents.get(node), (ast.Attribute,
+                                               ast.Subscript)) \
+            and up.value is node:
+        call = parents.get(up)
+        if isinstance(up, ast.Attribute) and up.attr in MUTATORS \
+                and isinstance(call, ast.Call) and call.func is up:
+            return "write"
+        node = up
+    return "write" if isinstance(getattr(node, "ctx", None),
+                                 (ast.Store, ast.Del)) else "read"
+
+
+def _foreign_accesses(mod) -> list:
+    """``(kind, name, node, context)`` for every guarded name ``mod``
+    reaches through an owner it is not: ``from <owner> import NAME``
+    (an "import"), the bare name such an import binds, and
+    ``alias.NAME`` with ``alias`` bound to the owner module."""
+    path = _norm(mod.path)
+    foreign = {n: e[0] for n, e in GUARDED_BY.items()
+               if not _is_owner(path, e[0])}
+    owners, bare, found = {}, {}, []
+    for level, src, orig, alias in mod.import_records:
+        stem = _import_stem(mod, level, src)
+        if orig in foreign and _names_owner(stem, foreign[orig]):
+            bare[alias] = orig
+        sub = f"{stem}/{orig}" if stem else orig
+        if any(_names_owner(sub, o) for o in _OWNERS):
+            owners[alias] = sub
+    if not (bare or owners):
+        return []
+    parents = {c: p for p in ast.walk(mod.tree)
+               for c in ast.iter_child_nodes(p)}
+    for node in parents:
+        if isinstance(node, ast.ImportFrom):
+            stem = _import_stem(mod, node.level, node.module or "")
+            found += [(node, a.name) for a in node.names if a.name in foreign
+                      and _names_owner(stem, foreign[a.name])]
+        elif isinstance(node, ast.Name) and node.id in bare:
+            found.append((node, bare[node.id]))
+        elif isinstance(node, ast.Attribute) and node.attr in foreign \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in owners \
+                and _names_owner(owners[node.value.id], foreign[node.attr]):
+            found.append((node, node.attr))
+    out = []
+    for node, name in found:
+        scope = node
+        while scope is not None and not isinstance(scope, ast.FunctionDef):
+            scope = parents.get(scope)
+        out.append(("import" if isinstance(node, ast.ImportFrom)
+                     else _access_kind(node, parents), name, node,
+                     scope.name if scope is not None else "<module>"))
+    return out
+
+
+# ---------------------------------------------------------------------
 # The concurrency summary engine
 # ---------------------------------------------------------------------
 
@@ -342,24 +422,19 @@ class ConcurrencySummaryEngine(SummaryEngine):
     def resolve(self, module, name):
         if module is None:
             return None
-        func = module.functions.get(name)
-        if func is not None:
-            return (module, func)
+        if name in module.functions:
+            return (module, module.functions[name])
         target = self.resolver.function_target(module, name)
         if target is not None and self._config(target[0]) is not None:
             return target
         return None
 
     def resolve_attr(self, module, alias, attr):
-        if module is None:
+        m = self.resolver.module_alias(module, alias) \
+            if module is not None else None
+        if m is None or self._config(m) is None or attr not in m.functions:
             return None
-        m = self.resolver.module_alias(module, alias)
-        if m is None or self._config(m) is None:
-            return None
-        func = m.functions.get(attr)
-        if func is None:
-            return None
-        return (m, func)
+        return (m, m.functions[attr])
 
     def _make_interpreter(self, mod, func):
         sub = super()._make_interpreter(mod, func)
@@ -395,14 +470,15 @@ def _roots(mod):
     are only roots when nothing in the module calls them by name (a
     callback like the memo's weakref ``_forget`` has no direct caller
     but runs on arbitrary threads).  ``__init__`` and other dunders are
-    exempt: construction happens-before sharing.
+    exempt: construction happens-before sharing.  Nested ``def``s are
+    always roots.
     """
     called = {call_name(n) for n in ast.walk(mod.tree)
               if isinstance(n, ast.Call)}
     for fname, func in sorted(mod.functions.items()):
-        if fname.startswith("_") and fname in called:
-            continue
-        yield fname, None, func
+        if not (fname.startswith("_") and fname in called):
+            yield fname, None, func
+        yield from _nested(fname, None, func)
     for cname, cnode in sorted(mod.classes.items()):
         methods = {n.name: n for n in cnode.body
                    if isinstance(n, ast.FunctionDef)}
@@ -415,11 +491,18 @@ def _roots(mod):
                         and node.func.value.id == "self":
                     self_called.add(node.func.attr)
         for mname, m in sorted(methods.items()):
-            if mname.startswith("__"):
-                continue
-            if mname.startswith("_") and mname in self_called:
-                continue
-            yield f"{cname}.{mname}", cname, m
+            if not (mname.startswith("__")
+                    or mname.startswith("_") and mname in self_called):
+                yield f"{cname}.{mname}", cname, m
+            yield from _nested(f"{cname}.{mname}", cname, m)
+
+
+def _nested(outer, cls, func):
+    """Nested ``def``s are roots of their own: a closure runs after the
+    enclosing ``with`` has exited, so it starts with an empty lockset."""
+    for node in ast.walk(func):
+        if node is not func and isinstance(node, ast.FunctionDef):
+            yield f"{outer}.{node.name}", cls, node
 
 
 def _is_generator(func) -> bool:
@@ -450,7 +533,8 @@ def _concurrency(project: Project) -> dict:
     Scope: modules that own guarded state, define locks or
     thread-locals, import STATE_LOCK, or import directly from such a
     module (the dispatch seam and front-door callers).  Everything
-    else has no lock obligations and is skipped.
+    else has no lock obligations and is skipped — except by the owner
+    boundary scan, which covers every module.
     """
     cache = getattr(project, "_laconc_cache", None)
     if cache is not None:
@@ -458,22 +542,8 @@ def _concurrency(project: Project) -> dict:
     resolver = _ImportResolver(project)
     all_cfgs = {_norm(mod.path): (mod, _module_config(mod))
                 for mod in project.modules}
-    lock_defs = {p for p, (_m, c) in all_cfgs.items() if c.defines_lock}
-    configs: dict = {}
-    for p, (mod, cfg) in all_cfgs.items():
-        # ``from .._sync import STATE_LOCK`` makes a module relevant,
-        # but only when the source really defines the lock — the lint
-        # rules themselves import the *name* as a string constant.
-        if cfg.imports_state_lock and not cfg.relevant:
-            for level, src, _orig, alias in mod.import_records:
-                if alias != "STATE_LOCK":
-                    continue
-                hit = resolver.module_for(mod, level, src)
-                if hit is not None and _norm(hit.path) in lock_defs:
-                    configs[p] = (mod, cfg)
-                    break
-        elif cfg.relevant:
-            configs[p] = (mod, cfg)
+    configs = {p: entry for p, entry in all_cfgs.items()
+               if entry[1].relevant}
     base_paths = set(configs)
     for mod in project.modules:
         p = _norm(mod.path)
@@ -504,9 +574,15 @@ def _concurrency(project: Project) -> dict:
             interp._exec_block(body_statements(func), env)
             runs.append(_Run(mod=mod, name=name, interp=interp,
                              generator=_is_generator(func)))
-    pragmas = {p: _scan_pragmas(mod) for p, (mod, _c) in configs.items()}
+    foreign = {}
+    for mod in project.modules:
+        accs = _foreign_accesses(mod)
+        if accs:
+            foreign[_norm(mod.path)] = (mod, accs)
+    pragmas = {p: _scan_pragmas(mod)
+               for p, (mod, _c) in {**configs, **foreign}.items()}
     cache = {"runs": runs, "pragmas": pragmas, "configs": configs,
-             "engine": engine}
+             "engine": engine, "foreign": foreign}
     project._laconc_cache = cache
     return cache
 
@@ -515,22 +591,20 @@ def _concurrency(project: Project) -> dict:
 # Pragma plumbing
 # ---------------------------------------------------------------------
 
-def _pragma_at(data, kind, path, lineno):
+def _pragma_at(data, path, lineno, *kinds) -> bool:
     entry = data["pragmas"].get(_norm(path), {}).get(lineno)
-    if entry is not None and entry[0] == kind and entry[1]:
-        return (_norm(path), lineno)
-    return None
+    return entry is not None and entry[0] in kinds and bool(entry[1])
 
 
-def _access_pragma(data, run, access, kind):
-    """Pragma covering an access: on its own line, or on the call site
-    it was first replayed through (the guarded API's invocation)."""
-    hit = _pragma_at(data, kind, access.path,
-                     getattr(access.node, "lineno", 0))
-    if hit is None and access.site is not None:
-        hit = _pragma_at(data, kind, access.site_path,
-                         getattr(access.site, "lineno", 0))
-    return hit
+def _access_pragma(data, access, *kinds) -> bool:
+    """A justified pragma of one of ``kinds`` covers the access: on its
+    own line, or on the call site it was first replayed through (the
+    guarded API's invocation)."""
+    return _pragma_at(data, access.path,
+                      getattr(access.node, "lineno", 0), *kinds) \
+        or access.site is not None \
+        and _pragma_at(data, access.site_path,
+                       getattr(access.site, "lineno", 0), *kinds)
 
 
 def _reached_lines(data) -> set:
@@ -544,6 +618,9 @@ def _reached_lines(data) -> set:
             if a.site is not None:
                 reached.add((_norm(a.site_path),
                              getattr(a.site, "lineno", 0)))
+    for path, (_mod, accs) in data["foreign"].items():
+        reached.update((path, node.lineno)
+                       for kind, _n, node, _c in accs if kind == "read")
     data["_reached"] = reached
     return reached
 
@@ -580,18 +657,37 @@ def _pragma_findings(data, kind, code) -> list:
 # ---------------------------------------------------------------------
 
 def check_la023(project: Project):
-    """Every read and write of a guarded name happens with its owning
-    lock held, interprocedurally; deliberate unlocked fast-path reads
-    carry a justified ``# laflow: benign-race`` pragma (verified to be
-    load-bearing)."""
+    """Outside its owner a guarded name is never imported or written,
+    and read only under a justified ``# laflow: benign-race`` pragma;
+    inside the owner every read and write happens with its lock held,
+    interprocedurally — a nested ``def`` starting with an empty lockset,
+    since it runs after the enclosing ``with`` has exited — with the
+    same pragma for deliberate unlocked fast-path reads (every pragma
+    verified to be load-bearing)."""
     data = _concurrency(project)
     findings = []
     seen: set = set()
+    for path, (mod, accs) in sorted(data["foreign"].items()):
+        for kind, name, node, context in accs:
+            key = (name, path, node.lineno)
+            if key in seen or (kind == "read" and _pragma_at(
+                    data, path, node.lineno, "benign-race")):
+                continue
+            seen.add(key)
+            owner, _lock, api = GUARDED_BY[name]
+            fix = " or mark the line `# laflow: benign-race — <why>`" \
+                if kind == "read" else " instead"
+            findings.append(Finding(
+                code="LA023",
+                message=f"{kind} of {name} outside its owner {owner}; "
+                        f"go through {api}{fix}",
+                path=mod.path, line=node.lineno, col=node.col_offset,
+                context=context))
     for run in data["runs"]:
         for a in run.interp.accesses:
             if a.lock in {l for l, _ in a.locks}:
                 continue
-            if _access_pragma(data, run, a, "benign-race") is not None:
+            if _access_pragma(data, a, "benign-race"):
                 continue
             key = (a.name, _norm(a.path), getattr(a.node, "lineno", 0))
             if key in seen:
@@ -633,9 +729,7 @@ def check_la024(project: Project):
             r_regs = {reg for l, reg in r.locks if l == r.lock}
             if not r_regs:
                 continue        # unlocked read: LA023's problem
-            if _access_pragma(data, run, r, "atomic-split") is not None \
-                    or _access_pragma(data, run, r,
-                                      "benign-race") is not None:
+            if _access_pragma(data, r, "atomic-split", "benign-race"):
                 continue
             for w in accs[i + 1:]:
                 if w.name != r.name or w.kind != "write":
@@ -643,10 +737,7 @@ def check_la024(project: Project):
                 w_regs = {reg for l, reg in w.locks if l == w.lock}
                 if not w_regs or (r_regs & w_regs):
                     continue
-                if _access_pragma(data, run, w,
-                                  "atomic-split") is not None \
-                        or _access_pragma(data, run, w,
-                                          "benign-race") is not None:
+                if _access_pragma(data, w, "atomic-split", "benign-race"):
                     continue
                 key = (r.name, _norm(r.path),
                        getattr(r.node, "lineno", 0),

@@ -1,4 +1,4 @@
-"""The laflow rule catalogue (LA011–LA020).
+"""The laflow dataflow rule catalogue (LA011–LA014, LA017–LA020).
 
 LA011–LA014 and LA017–LA020 run the symbolic interpreter
 (:class:`.interp.DriverFlow`) over every core driver implementation
@@ -9,11 +9,6 @@ helper calls contribute their effects instead of poisoning the
 environment, and kernel calls carry spec-derived read/write effect
 signatures.  Flows are interpreted once per project and cached — the
 eight dataflow rules share one pass.
-
-LA015 and LA016 are plain module scans policing process-global state:
-LA015 the configuration knobs (policy, backend selection, blocking
-configuration), LA016 the resilience registries (circuit breakers,
-resilience policy, deadline arming, the chaos-fault table).
 
 Since the dispatch front door landed, LA017 also covers *borrowed*
 validation ladders: a :mod:`repro.dispatch_front` function that calls
@@ -39,8 +34,8 @@ from .interp import DriverFlow, spec_dim_formulas
 from .summaries import SummaryEngine, kernel_effects
 
 __all__ = ["check_la011", "check_la012", "check_la013", "check_la014",
-           "check_la015", "check_la016", "check_la017", "check_la018",
-           "check_la019", "check_la020", "front_door_sites"]
+           "check_la017", "check_la018", "check_la019", "check_la020",
+           "front_door_sites"]
 
 _ARRAY_KINDS = {"matrix", "rhs", "vector"}
 _LEN_CHECKS = {"optlen", "reqlen"}
@@ -305,205 +300,6 @@ def check_la014(project: Project):
                     f"for {impl.driver} declares intent(in)",
                     impl.impl_module, write.node, context=impl.driver))
     return findings
-
-
-# ---------------------------------------------------------------------
-# LA015/LA016 — global-state discipline
-# ---------------------------------------------------------------------
-
-#: Process-global configuration state policed by LA015:
-#: variable -> (owner module suffix, public API).
-GLOBAL_STATE = {
-    "_POLICY": ("repro/policy.py",
-                "get_policy()/set_policy()/exception_policy()"),
-    "_SELECTED": ("repro/backends/__init__.py",
-                  "get_backend_name()/set_backend()/use_backend()"),
-    "_BLOCK_SIZES": ("repro/config.py",
-                     "ilaenv()/set_block_size()/block_size_override()"),
-    "_MIN_BLOCK": ("repro/config.py",
-                   "ilaenv()/set_block_size()/block_size_override()"),
-    "_CROSSOVER": ("repro/config.py",
-                   "ilaenv()/set_block_size()/block_size_override()"),
-}
-
-#: Resilience-subsystem state policed by LA016, same shape.
-#: ``_DEADLINES`` is listed for the foreign-access ban only (it is a
-#: ``threading.local`` — per-thread by construction, so its owner
-#: mutates it without the lock).
-RESILIENCE_STATE = {
-    "_BREAKERS": ("repro/resilience/breaker.py",
-                  "admit()/record_failure()/record_success()/"
-                  "breaker_state()/states()/reset_breakers()"),
-    "_RESILIENCE": ("repro/resilience/config.py",
-                    "get_resilience()/set_resilience()/"
-                    "resilience_policy()"),
-    "_ARMED": ("repro/resilience/deadlines.py",
-               "repro.deadline()/remaining()/check()"),
-    "_DEADLINES": ("repro/resilience/deadlines.py",
-                   "repro.deadline()/remaining()/check()"),
-    "_CHAOS": ("repro/faults.py",
-               "chaos_install()/chaos_remove()/chaos_clear()/"
-               "chaos_fault()"),
-}
-
-#: Table entries whose owner mutations are lock-exempt (thread-local).
-_UNLOCKED_OK = frozenset({"_DEADLINES"})
-
-#: The shared lock every mutation site must hold (repro._sync).
-STATE_LOCK = "STATE_LOCK"
-
-_MUTATING_METHODS = {"update", "clear", "pop", "popitem", "setdefault",
-                     "append", "extend", "remove"}
-
-
-def _chain_root(node):
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    return node.id if isinstance(node, ast.Name) else None
-
-
-def _mutated_state(stmt, table):
-    """State names a simple statement mutates (assignment targets and
-    mutating method calls)."""
-    out = set()
-    targets = []
-    if isinstance(stmt, ast.Assign):
-        targets = list(stmt.targets)
-    elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-        targets = [stmt.target]
-    elif isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-        func = stmt.value.func
-        if isinstance(func, ast.Attribute) \
-                and func.attr in _MUTATING_METHODS:
-            root = _chain_root(func.value)
-            if root in table:
-                out.add(root)
-    flat = []
-    while targets:
-        t = targets.pop()
-        if isinstance(t, (ast.Tuple, ast.List)):
-            targets.extend(t.elts)
-        else:
-            flat.append(t)
-    for t in flat:
-        if isinstance(t, ast.Name) and t.id in table:
-            out.add(t.id)
-        else:
-            root = _chain_root(t)
-            if root in table:
-                out.add(root)
-    return out
-
-
-def _holds_lock(with_stmt):
-    for item in with_stmt.items:
-        for node in ast.walk(item.context_expr):
-            if isinstance(node, ast.Name) and node.id == STATE_LOCK:
-                return True
-            if isinstance(node, ast.Attribute) \
-                    and node.attr == STATE_LOCK:
-                return True
-    return False
-
-
-def _owner_unlocked_mutations(tree, table):
-    """Yield ``(var, stmt)`` for in-function mutations of owned state
-    outside ``with STATE_LOCK:``.  Module top-level (initialisation)
-    assignments are allowed."""
-
-    def walk(stmts, locked, in_func):
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                # A nested def runs later: the lexical lock is gone.
-                yield from walk(stmt.body, False, True)
-                continue
-            if isinstance(stmt, ast.With):
-                yield from walk(stmt.body,
-                                locked or _holds_lock(stmt), in_func)
-                continue
-            if isinstance(stmt, (ast.If, ast.For, ast.While, ast.Try)):
-                for block in (getattr(stmt, "body", []),
-                              getattr(stmt, "orelse", []),
-                              getattr(stmt, "finalbody", [])):
-                    yield from walk(block, locked, in_func)
-                for handler in getattr(stmt, "handlers", []):
-                    yield from walk(handler.body, locked, in_func)
-                continue
-            if in_func and not locked:
-                for var in sorted(_mutated_state(stmt, table)):
-                    yield var, stmt
-
-    yield from walk(tree.body, False, False)
-
-
-def _state_discipline(project, table, code, unlocked_ok=frozenset()):
-    """The shared LA015/LA016 scan over one state table.
-
-    Outside its owner module a listed variable may not be *named* at
-    all — not imported, not read, not reached through an attribute
-    chain; callers go through the designated API.  Inside the owner,
-    every in-function mutation must lexically hold
-    ``with STATE_LOCK:`` (module top-level initialisation is exempt,
-    as are the ``unlocked_ok`` thread-local entries).
-    """
-    findings = []
-    for mod in project.modules:
-        p = mod.path.replace(os.sep, "/")
-        owned = {var for var, (suffix, _) in table.items()
-                 if p.endswith(suffix)}
-        foreign = set(table) - owned
-        for node in ast.walk(mod.tree):
-            if isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    if alias.name in foreign:
-                        _, api = table[alias.name]
-                        findings.append(_f(
-                            code,
-                            f"import of global state {alias.name}; go "
-                            f"through {api} instead", mod, node))
-            elif isinstance(node, ast.Name) and node.id in foreign:
-                _, api = table[node.id]
-                findings.append(_f(
-                    code,
-                    f"direct access to global state {node.id}; go "
-                    f"through {api} instead", mod, node))
-            elif isinstance(node, ast.Attribute) \
-                    and node.attr in foreign:
-                _, api = table[node.attr]
-                findings.append(_f(
-                    code,
-                    f"direct access to global state {node.attr}; go "
-                    f"through {api} instead", mod, node))
-        if owned:
-            for var, stmt in _owner_unlocked_mutations(mod.tree, table):
-                if var in owned and var not in unlocked_ok:
-                    findings.append(_f(
-                        code,
-                        f"mutation of {var} outside `with STATE_LOCK:`",
-                        mod, stmt))
-    return findings
-
-
-def check_la015(project: Project):
-    """Global-state discipline: outside its owner module, the
-    process-global policy/backend/blocking state may not be named at
-    all — callers go through the designated APIs.  Inside the owner,
-    every mutation site must lexically hold ``with STATE_LOCK:`` (the
-    shared :data:`repro._sync.STATE_LOCK` RLock); module top-level
-    initialisation is exempt."""
-    return _state_discipline(project, GLOBAL_STATE, "LA015")
-
-
-def check_la016(project: Project):
-    """Resilience-state discipline: the breaker registry, resilience
-    policy, deadline arming and chaos-fault table may only be touched by
-    their owning module, and every owner mutation must lexically hold
-    ``with STATE_LOCK:`` — the same shared RLock LA015 polices, so the
-    resilience layer can never deadlock against (or race) the
-    configuration knobs.  The thread-local deadline stack is exempt from
-    the lock requirement but still closed to foreign access."""
-    return _state_discipline(project, RESILIENCE_STATE, "LA016",
-                             unlocked_ok=_UNLOCKED_OK)
 
 
 # ---------------------------------------------------------------------

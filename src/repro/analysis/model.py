@@ -113,10 +113,6 @@ class Module:
         p = self.path.replace(os.sep, "/")
         return "/f77/" in p or p.endswith("/f77")
 
-    def public_functions(self):
-        return {n: f for n, f in self.functions.items()
-                if not n.startswith("_")}
-
     def drivers(self):
         if self.is_f77_compat:
             return {}

@@ -1,4 +1,4 @@
-"""The lalint rule catalogue (LA001–LA022).
+"""The lalint rule catalogue (LA001–LA014, LA017–LA026).
 
 Every rule is a function ``check(project) -> list[Finding]`` registered
 in :data:`RULES`.  Rules only inspect the AST model — the analysed code
@@ -791,9 +791,9 @@ def check_la022(project: Project):
 
 
 from .flow import (check_la011, check_la012, check_la013,  # noqa: E402
-                   check_la014, check_la015, check_la016, check_la017,
-                   check_la018, check_la019, check_la020, check_la023,
-                   check_la024, check_la025, check_la026)
+                   check_la014, check_la017, check_la018, check_la019,
+                   check_la020, check_la023, check_la024, check_la025,
+                   check_la026)
 
 RULES = [
     ("LA001", "every exit path reports through erinfo", check_la001),
@@ -816,10 +816,6 @@ RULES = [
     ("LA013", "no hard-coded dtype flows into the kernel", check_la013),
     ("LA014", "in-place writes only to intent(inout/out) arguments",
      check_la014),
-    ("LA015", "global policy/backend state behind setters and the lock",
-     check_la015),
-    ("LA016", "resilience state owned by repro.resilience under the lock",
-     check_la016),
     ("LA017", "every declared error exit is reachable, none shadowed",
      check_la017),
     ("LA018", "no aliased operands into distinct written kernel slots",
@@ -832,7 +828,7 @@ RULES = [
      check_la021),
     ("LA022", "no hand-rolled structure routing outside the derivation",
      check_la022),
-    ("LA023", "guarded state accessed only with its lock held",
+    ("LA023", "guarded state only via its owner, under its lock",
      check_la023),
     ("LA024", "no check-then-act split across lock regions",
      check_la024),

@@ -26,8 +26,8 @@ dispatch seam in :mod:`repro.backends.kernels`:
 Every attempt is visible on the driver's ``Info`` handle
 (``info.attempts`` / ``info.breaker``); the chaos harness in
 :mod:`repro.faults` exercises all of it deterministically.  lalint rule
-LA016 pins the package's shared registries behind
-:data:`repro._sync.STATE_LOCK`.
+LA023 pins the package's shared registries behind
+:data:`repro._sync.STATE_LOCK` and their owner modules.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ the problem.  Only genuine kernel failures (anything else raised) count
 against a pair.
 
 All registry mutations hold :data:`repro._sync.STATE_LOCK`; lalint rule
-LA016 enforces that and forbids foreign modules from touching
-``_BREAKERS`` directly.  ``TRACKING`` is the lock-free fast gate
+LA023 enforces that and forbids foreign modules from importing or
+writing ``_BREAKERS`` (or reading it without a justified pragma).  ``TRACKING`` is the lock-free fast gate
 (mirroring ``faults.ACTIVE``): dispatch skips the breaker branch
 entirely while it is False.
 """

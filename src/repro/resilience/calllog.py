@@ -10,7 +10,7 @@ shim (``_report``/``_record_fallback``/``_finish``) drains the frame
 into the caller's ``Info`` on the way out.
 
 Frames are purely thread-local telemetry — there is no cross-thread
-state here, so (unlike the breaker/deadline registries LA016 polices)
+state here, so (unlike the breaker/deadline registries LA023 polices)
 no lock is taken on the per-call hot path.  Kernel calls made outside a
 driver frame (the F77 layer, direct proxy use) are simply not recorded.
 """

@@ -4,9 +4,9 @@ One user-facing knob set, mirroring :mod:`repro.policy`: a mutable
 process-global :class:`ResiliencePolicy` behind
 :func:`get_resilience`/:func:`set_resilience`, with
 :func:`resilience_policy` scoping a change to a ``with`` block.  Every
-mutation holds :data:`repro._sync.STATE_LOCK`; lalint rule LA016
-enforces that discipline (and forbids foreign modules from naming
-``_RESILIENCE`` at all).
+mutation holds :data:`repro._sync.STATE_LOCK`; lalint rule LA023
+enforces that discipline (and forbids foreign modules from importing
+or writing ``_RESILIENCE``).
 """
 
 from __future__ import annotations

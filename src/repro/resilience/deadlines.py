@@ -13,8 +13,8 @@ Deadlines nest: the tightest (earliest) limit on the stack wins.  The
 stack is thread-local; ``_ARMED`` is the process-global armed-scope
 count that lets :func:`check` bail out with a single integer compare on
 the (overwhelmingly common) undeadlined path.  ``_ARMED`` mutations hold
-:data:`repro._sync.STATE_LOCK` (LA016); the thread-local stack needs no
-lock.
+:data:`repro._sync.STATE_LOCK` (LA023); the thread-local stack needs no
+lock, but foreign modules still may not touch it.
 """
 
 from __future__ import annotations

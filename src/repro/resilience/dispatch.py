@@ -80,9 +80,6 @@ def exempt_kernels() -> frozenset:
     return _EXEMPT  # laflow: benign-race — frozenset snapshot, immutable once built
 
 
-_exempt_kernels = exempt_kernels    # backwards-compatible alias
-
-
 def reset_open_warnings() -> None:
     """Forget breaker-open warning history (tests)."""
     _OPEN_WARNINGS.reset()
@@ -92,7 +89,7 @@ def call(routine, dtype, args, kwargs, resolve, get_backend_name):
     """Dispatch one kernel call through the resilience ladder."""
     selected = get_backend_name()
     kernel = resolve(routine, dtype)
-    armed = faults.CHAOS_ACTIVE or breaker.TRACKING
+    armed = faults.CHAOS_ACTIVE or breaker.TRACKING  # laflow: benign-race — fast-path gates; a stale False serves the call as if it began before chaos/tracking was armed, a stale True only takes the full ladder
     if not armed and selected == "reference":
         return kernel(*args, **kwargs)
     if armed or not getattr(kernel, "transactional", False):
@@ -176,7 +173,7 @@ def _resilient_call(routine, dtype, args, kwargs, resolve, selected,
     else:
         rungs = [(serving, primary), ("reference", reference)]
 
-    exempt = routine in _exempt_kernels()
+    exempt = routine in exempt_kernels()
     retries = 0 if exempt else policy.retries
     if exempt:
         rungs = rungs[:1]
@@ -200,7 +197,7 @@ def _resilient_call(routine, dtype, args, kwargs, resolve, selected,
                     _restore(saved)
                 try:
                     fault = faults.chaos_fault(routine, rung_backend) \
-                        if faults.CHAOS_ACTIVE else None
+                        if faults.CHAOS_ACTIVE else None  # laflow: benign-race — hot-path gate; chaos_fault re-checks the table under the lock
                     if fault is not None:
                         raise fault
                     result = kernel(*args, **kwargs)

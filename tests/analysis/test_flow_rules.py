@@ -1,14 +1,12 @@
-"""laflow self-tests: LA011–LA020 fire on their seeded fixtures (exact
-marker lines), stay quiet on the conforming twins, the owner-module
-lock discipline of LA015/LA016 is checked against synthesized owners,
-and the interprocedural machinery (summary memoization, helper-call
-value threading, allocation-site remapping, checkpoint replay) is
-exercised against a driver that routes its work through helpers.
+"""laflow self-tests: LA011–LA014 and LA017–LA020 fire on their seeded
+fixtures (exact marker lines), stay quiet on the conforming twins, and
+the interprocedural machinery (summary memoization, helper-call value
+threading, allocation-site remapping, checkpoint replay) is exercised
+against a driver that routes its work through helpers.
 
 The dataflow fixtures live under ``fixtures/flow/repro/core/`` so the
 spec-bound rules (which only police the core driver package) pick them
-up; the LA015/LA016 fixtures sit at the fixtures top level because
-those rules scan every module.  ``fixtures/flow/repro/lapack77/stub.py``
+up.  ``fixtures/flow/repro/lapack77/stub.py``
 is the substrate stub whose ``def`` signatures give the LA018/LA019
 effect signatures their kernel parameter order — the fixtures that need
 effects are loaded together with it.
@@ -18,9 +16,9 @@ import os
 import textwrap
 
 from repro.analysis import Project, run_rules
-from repro.analysis.flow import (DriverFlow, SummaryEngine, check_la015,
-                                 check_la016, front_door_sites,
-                                 kernel_effects, spec_dim_formulas)
+from repro.analysis.flow import (DriverFlow, SummaryEngine,
+                                 front_door_sites, kernel_effects,
+                                 spec_dim_formulas)
 from repro.analysis.flow import values as V
 from repro.analysis.flow.rules import _classify_check, _shadowed_checks
 from repro.specs.model import ArgSpec, Check, DriverSpec
@@ -117,27 +115,6 @@ def test_la014_fires_on_seeded_violations():
                                     "LA014")
     assert "intent(in)" in found[0].message
     assert "mutate a" in found[0].message
-
-
-def test_la015_fires_on_seeded_violations():
-    path = os.path.join(FIXTURES, "bad_la015.py")
-    found = _assert_matches_markers(path, "LA015")
-    messages = " | ".join(f.message for f in found)
-    assert "_POLICY" in messages
-    assert "_SELECTED" in messages
-    assert "_BLOCK_SIZES" in messages
-    assert "set_policy()" in messages
-
-
-def test_la016_fires_on_seeded_violations():
-    path = os.path.join(FIXTURES, "bad_la016.py")
-    found = _assert_matches_markers(path, "LA016")
-    messages = " | ".join(f.message for f in found)
-    assert "_BREAKERS" in messages
-    assert "_RESILIENCE" in messages
-    assert "_ARMED" in messages
-    assert "_CHAOS" in messages
-    assert "set_resilience()" in messages
 
 
 def test_la017_fires_on_seeded_violations():
@@ -238,10 +215,6 @@ def test_bad_flow_fixtures_only_fire_their_own_rule():
                        ("bad_la019.py", "LA019")]:
         found = _findings([_flow_fixture(name), STUB])
         assert {f.code for f in found} == {code}, name
-    found = _findings([os.path.join(FIXTURES, "bad_la015.py")])
-    assert {f.code for f in found} == {"LA015"}
-    found = _findings([os.path.join(FIXTURES, "bad_la016.py")])
-    assert {f.code for f in found} == {"LA016"}
 
 
 def test_good_flow_fixtures_are_clean():
@@ -253,129 +226,6 @@ def test_good_flow_fixtures_are_clean():
     for name in ("good_la017.py", "good_la018.py", "good_la019.py",
                  "good_la020.py"):
         assert _findings([_flow_fixture(name), STUB]) == [], name
-    assert _findings([os.path.join(FIXTURES, "good_la015.py")]) == []
-    assert _findings([os.path.join(FIXTURES, "good_la016.py")]) == []
-
-
-# -- LA015 owner-module lock discipline -------------------------------
-
-def _owner_tree(tmp_path, source):
-    pkg = tmp_path / "repro"
-    pkg.mkdir()
-    path = pkg / "policy.py"
-    path.write_text(textwrap.dedent(source), encoding="utf-8")
-    return str(path)
-
-
-def test_la015_owner_mutation_requires_the_lock(tmp_path):
-    path = _owner_tree(tmp_path, """\
-        from ._sync import STATE_LOCK
-
-        _POLICY = object()          # top-level init: allowed
-
-        def set_policy(value):
-            _POLICY.mode = value    # unlocked mutation
-
-        def set_policy_locked(value):
-            with STATE_LOCK:
-                _POLICY.mode = value
-        """)
-    found = check_la015(Project.load([path]))
-    assert len(found) == 1
-    assert "outside `with STATE_LOCK:`" in found[0].message
-    # The finding points at the unlocked store, not the locked one.
-    assert found[0].line == 6
-
-
-def test_la015_owner_reads_are_allowed(tmp_path):
-    path = _owner_tree(tmp_path, """\
-        _POLICY = object()
-
-        def get_policy():
-            return _POLICY
-        """)
-    assert check_la015(Project.load([path])) == []
-
-
-def test_la015_nested_def_loses_the_lexical_lock(tmp_path):
-    path = _owner_tree(tmp_path, """\
-        from ._sync import STATE_LOCK
-
-        _POLICY = object()
-
-        def make_setter():
-            with STATE_LOCK:
-                def setter(value):
-                    _POLICY.mode = value    # runs after the lock is gone
-                return setter
-        """)
-    found = check_la015(Project.load([path]))
-    assert len(found) == 1
-
-
-# -- LA016 owner-module lock discipline -------------------------------
-
-def _breaker_owner(tmp_path, source):
-    pkg = tmp_path / "repro" / "resilience"
-    pkg.mkdir(parents=True)
-    path = pkg / "breaker.py"
-    path.write_text(textwrap.dedent(source), encoding="utf-8")
-    return str(path)
-
-
-def test_la016_owner_mutation_requires_the_lock(tmp_path):
-    path = _breaker_owner(tmp_path, """\
-        from .._sync import STATE_LOCK
-
-        _BREAKERS = {}              # top-level init: allowed
-
-        def trip(key):
-            _BREAKERS[key] = 1      # unlocked mutation
-
-        def trip_locked(key):
-            with STATE_LOCK:
-                _BREAKERS[key] = 1
-        """)
-    found = check_la016(Project.load([path]))
-    assert len(found) == 1
-    assert "outside `with STATE_LOCK:`" in found[0].message
-    assert found[0].line == 6
-
-
-def test_la016_thread_local_deadline_stack_is_lock_exempt(tmp_path):
-    pkg = tmp_path / "repro" / "resilience"
-    pkg.mkdir(parents=True)
-    path = pkg / "deadlines.py"
-    path.write_text(textwrap.dedent("""\
-        import threading
-
-        _DEADLINES = threading.local()
-
-        def _stack():
-            _DEADLINES.stack = []       # thread-local: no lock needed
-            return _DEADLINES.stack
-        """), encoding="utf-8")
-    assert check_la016(Project.load([str(path)])) == []
-
-
-def test_la016_is_silent_for_la015_state_and_vice_versa(tmp_path):
-    # The two rules police disjoint tables: the policy owner's unlocked
-    # mutation is LA015's business only, and the breaker owner's is
-    # LA016's only.
-    policy = _owner_tree(tmp_path, """\
-        _POLICY = object()
-
-        def set_policy(value):
-            _POLICY.mode = value
-        """)
-    assert check_la016(Project.load([policy])) == []
-    breaker = _breaker_owner(tmp_path, """\
-        _BREAKERS = {}
-
-        def trip(key):
-            _BREAKERS[key] = 1
-        """)
-    assert check_la015(Project.load([breaker])) == []
 
 
 # -- interprocedural machinery: summaries, effects, classifier --------

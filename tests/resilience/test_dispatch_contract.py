@@ -42,5 +42,3 @@ def test_exempt_kernels_mirror_the_spec_flags():
             if spec.breaker_exempt and spec.kernel is not None}
     assert exempt == frozenset(want)
     assert "lagge" in exempt and "gesv" not in exempt
-    # The legacy private alias still resolves to the same callable.
-    assert dispatch._exempt_kernels is dispatch.exempt_kernels
