@@ -49,15 +49,26 @@ def lange(norm: str, a: np.ndarray):
 
 
 def _sym_full(a: np.ndarray, uplo: str, hermitian: bool) -> np.ndarray:
+    """A fresh C-contiguous full matrix from the ``uplo`` triangle of ``a``
+    (mirrored, conjugated when ``hermitian``, with a real diagonal)."""
     if uplo.upper() == "U":
         full = np.triu(a) + (np.conj(np.triu(a, 1)).T if hermitian
                              else np.triu(a, 1).T)
     else:
         full = np.tril(a) + (np.conj(np.tril(a, -1)).T if hermitian
                              else np.tril(a, -1).T)
+    full = np.ascontiguousarray(full)
     if hermitian:
         np.fill_diagonal(full, full.diagonal().real)
     return full
+
+
+def _put_triangle(a: np.ndarray, full: np.ndarray, uplo: str) -> None:
+    """Copy the ``uplo`` triangle (diagonal included) of ``full`` into
+    ``a``, leaving the opposite strict triangle of ``a`` untouched."""
+    n = a.shape[0]
+    lower = np.tri(n, dtype=bool)
+    np.copyto(a, full, where=lower if uplo.upper() == "L" else lower.T)
 
 
 def lansy(norm: str, a: np.ndarray, uplo: str = "U"):

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import xerbla
 from .lacon import lacon
-from .lautil import lansy, lanhe
+from .lautil import _put_triangle, _sym_full, lanhe, lansy
 from .machine import lamch
 
 __all__ = ["sytf2", "sytrf", "sytrs", "sysv", "sycon", "syrfs",
@@ -31,12 +31,12 @@ def _cabs1(z):
     return np.abs(z.real) + np.abs(z.imag) if np.iscomplexobj(z) else np.abs(z)
 
 
-def _diag_entry(a, k, hermitian):
-    return a[k, k].real if hermitian else a[k, k]
-
-
 def _sytf2_upper(a: np.ndarray, ipiv: np.ndarray, hermitian: bool) -> int:
+    # ``a`` is the C-contiguous full working copy from ``sytf2``: pivots
+    # and interchanges read and write only the upper triangle, the
+    # updates cover whole leading blocks, the lower triangle is scratch.
     n = a.shape[0]
+    diag = a.reshape(-1)[:: n + 1]
     info = 0
     k = n - 1
     while k >= 0:
@@ -97,25 +97,21 @@ def _sytf2_upper(a: np.ndarray, ipiv: np.ndarray, hermitian: bool) -> int:
             if kstep == 1:
                 # 1x1 pivot: rank-1 update of the leading (k)x(k) block.
                 if k > 0:
+                    x = a[:k, k]
                     if hermitian:
                         r1 = 1.0 / a[k, k].real
-                        x = a[:k, k]
-                        upd = r1 * np.outer(x, np.conj(x))
-                        iu = np.triu_indices(k)
-                        a[:k, :k][iu] -= upd[iu]
-                        di = np.arange(k)
-                        a[di, di] = a[di, di].real
-                        a[:k, k] *= r1
+                        a[:k, :k] -= np.outer(x, r1 * np.conj(x))
+                        diag[:k] = diag[:k].real
                     else:
                         r1 = 1.0 / a[k, k]
-                        x = a[:k, k]
-                        upd = r1 * np.outer(x, x)
-                        iu = np.triu_indices(k)
-                        a[:k, :k][iu] -= upd[iu]
-                        a[:k, k] *= r1
+                        a[:k, :k] -= np.outer(x, r1 * x)
+                    x *= r1
             else:
-                # 2x2 pivot in columns (k-1, k).
+                # 2x2 pivot in columns (k-1, k): rank-2 update of the
+                # leading (k-1)x(k-1) block.
                 if k > 1:
+                    cols = a[:k - 1, k - 1: k + 1]
+                    colkm1, colk = cols[:, 0], cols[:, 1]
                     if hermitian:
                         dd = float(np.hypot(a[k - 1, k].real,
                                             a[k - 1, k].imag))
@@ -124,33 +120,22 @@ def _sytf2_upper(a: np.ndarray, ipiv: np.ndarray, hermitian: bool) -> int:
                         tt = 1.0 / (d11 * d22 - 1.0)
                         d12 = a[k - 1, k] / dd
                         dsc = tt / dd
-                        colk = a[:k - 1, k].copy()
-                        colkm1 = a[:k - 1, k - 1].copy()
                         wkm1 = dsc * (d11 * colkm1 - colk * np.conj(d12))
                         wk = dsc * (d22 * colk - colkm1 * d12)
-                        upd = (np.outer(colk, np.conj(wk))
-                               + np.outer(colkm1, np.conj(wkm1)))
-                        iu = np.triu_indices(k - 1)
-                        a[:k - 1, :k - 1][iu] -= upd[iu]
-                        di = np.arange(k - 1)
-                        a[di, di] = a[di, di].real
-                        a[:k - 1, k] = wk
-                        a[:k - 1, k - 1] = wkm1
+                        a[:k - 1, :k - 1] -= cols @ np.conj(
+                            np.stack((wkm1, wk)))
+                        diag[:k - 1] = diag[:k - 1].real
                     else:
                         d12 = a[k - 1, k]
                         d22 = a[k - 1, k - 1] / d12
                         d11 = a[k, k] / d12
                         tt = 1.0 / (d11 * d22 - 1.0)
                         d12 = tt / d12
-                        colk = a[:k - 1, k].copy()
-                        colkm1 = a[:k - 1, k - 1].copy()
                         wkm1 = d12 * (d11 * colkm1 - colk)
                         wk = d12 * (d22 * colk - colkm1)
-                        upd = np.outer(colk, wk) + np.outer(colkm1, wkm1)
-                        iu = np.triu_indices(k - 1)
-                        a[:k - 1, :k - 1][iu] -= upd[iu]
-                        a[:k - 1, k] = wk
-                        a[:k - 1, k - 1] = wkm1
+                        a[:k - 1, :k - 1] -= cols @ np.stack((wkm1, wk))
+                    colk[:] = wk
+                    colkm1[:] = wkm1
         if kstep == 1:
             ipiv[k] = kp
         else:
@@ -161,7 +146,9 @@ def _sytf2_upper(a: np.ndarray, ipiv: np.ndarray, hermitian: bool) -> int:
 
 
 def _sytf2_lower(a: np.ndarray, ipiv: np.ndarray, hermitian: bool) -> int:
+    # Mirror image of ``_sytf2_upper``: the upper triangle is scratch.
     n = a.shape[0]
+    diag = a.reshape(-1)[:: n + 1]
     info = 0
     k = 0
     while k < n:
@@ -221,25 +208,23 @@ def _sytf2_lower(a: np.ndarray, ipiv: np.ndarray, hermitian: bool) -> int:
                 if kstep == 2:
                     a[k, k] = a[k, k].real
             if kstep == 1:
+                # 1x1 pivot: rank-1 update of the trailing block.
                 if k < n - 1:
+                    x = a[k + 1:, k]
                     if hermitian:
                         r1 = 1.0 / a[k, k].real
-                        x = a[k + 1:, k]
-                        upd = r1 * np.outer(x, np.conj(x))
-                        il = np.tril_indices(n - k - 1)
-                        a[k + 1:, k + 1:][il] -= upd[il]
-                        di = np.arange(k + 1, n)
-                        a[di, di] = a[di, di].real
-                        a[k + 1:, k] *= r1
+                        a[k + 1:, k + 1:] -= np.outer(x, r1 * np.conj(x))
+                        diag[k + 1:] = diag[k + 1:].real
                     else:
                         r1 = 1.0 / a[k, k]
-                        x = a[k + 1:, k]
-                        upd = r1 * np.outer(x, x)
-                        il = np.tril_indices(n - k - 1)
-                        a[k + 1:, k + 1:][il] -= upd[il]
-                        a[k + 1:, k] *= r1
+                        a[k + 1:, k + 1:] -= np.outer(x, r1 * x)
+                    x *= r1
             else:
+                # 2x2 pivot in columns (k, k+1): rank-2 update of the
+                # trailing block.
                 if k < n - 2:
+                    cols = a[k + 2:, k: k + 2]
+                    colk, colkp1 = cols[:, 0], cols[:, 1]
                     if hermitian:
                         dd = float(np.hypot(a[k + 1, k].real,
                                             a[k + 1, k].imag))
@@ -248,33 +233,22 @@ def _sytf2_lower(a: np.ndarray, ipiv: np.ndarray, hermitian: bool) -> int:
                         tt = 1.0 / (d11 * d22 - 1.0)
                         d21 = a[k + 1, k] / dd
                         dsc = tt / dd
-                        colk = a[k + 2:, k].copy()
-                        colkp1 = a[k + 2:, k + 1].copy()
                         wk = dsc * (d11 * colk - colkp1 * d21)
                         wkp1 = dsc * (d22 * colkp1 - colk * np.conj(d21))
-                        upd = (np.outer(colk, np.conj(wk))
-                               + np.outer(colkp1, np.conj(wkp1)))
-                        il = np.tril_indices(n - k - 2)
-                        a[k + 2:, k + 2:][il] -= upd[il]
-                        di = np.arange(k + 2, n)
-                        a[di, di] = a[di, di].real
-                        a[k + 2:, k] = wk
-                        a[k + 2:, k + 1] = wkp1
+                        a[k + 2:, k + 2:] -= cols @ np.conj(
+                            np.stack((wk, wkp1)))
+                        diag[k + 2:] = diag[k + 2:].real
                     else:
                         d21 = a[k + 1, k]
                         d11 = a[k + 1, k + 1] / d21
                         d22 = a[k, k] / d21
                         tt = 1.0 / (d11 * d22 - 1.0)
                         d21 = tt / d21
-                        colk = a[k + 2:, k].copy()
-                        colkp1 = a[k + 2:, k + 1].copy()
                         wk = d21 * (d11 * colk - colkp1)
                         wkp1 = d21 * (d22 * colkp1 - colk)
-                        upd = np.outer(colk, wk) + np.outer(colkp1, wkp1)
-                        il = np.tril_indices(n - k - 2)
-                        a[k + 2:, k + 2:][il] -= upd[il]
-                        a[k + 2:, k] = wk
-                        a[k + 2:, k + 1] = wkp1
+                        a[k + 2:, k + 2:] -= cols @ np.stack((wk, wkp1))
+                    colk[:] = wk
+                    colkp1[:] = wkp1
         if kstep == 1:
             ipiv[k] = kp
         else:
@@ -287,7 +261,12 @@ def _sytf2_lower(a: np.ndarray, ipiv: np.ndarray, hermitian: bool) -> int:
 def sytf2(a: np.ndarray, uplo: str = "U", hermitian: bool = False):
     """Unblocked Bunch–Kaufman factorization (in place).
 
-    Returns ``(ipiv, info)``.
+    Only the ``uplo`` triangle of ``a`` is read, and only it is
+    overwritten (with the factor and D); the opposite strict triangle is
+    left exactly as the caller had it.  Each 1×1 or 2×2 update is one
+    broadcast subtract over the whole contiguous trailing block of a
+    full symmetric working copy, built once, whose opposite triangle is
+    scratch.  Returns ``(ipiv, info)``.
     """
     if uplo.upper() not in ("U", "L"):
         xerbla("SYTF2", 1, f"uplo={uplo!r}")
@@ -295,19 +274,24 @@ def sytf2(a: np.ndarray, uplo: str = "U", hermitian: bool = False):
     if a.shape[1] != n:
         xerbla("SYTF2", 2, "matrix must be square")
     ipiv = np.zeros(n, dtype=np.int64)
+    work = _sym_full(a, uplo, hermitian)
     if uplo.upper() == "U":
-        info = _sytf2_upper(a, ipiv, hermitian)
+        info = _sytf2_upper(work, ipiv, hermitian)
     else:
-        info = _sytf2_lower(a, ipiv, hermitian)
+        info = _sytf2_lower(work, ipiv, hermitian)
+    _put_triangle(a, work, uplo)
     return ipiv, info
 
 
 def sytrf(a: np.ndarray, uplo: str = "U"):
     """Bunch–Kaufman factorization of a symmetric matrix, ``A = U D Uᵀ``.
 
-    (Delegates to the unblocked kernel; LAPACK's ``xLASYF`` blocking is a
-    pure performance refinement with identical output.)
-    Returns ``(ipiv, info)``.
+    Runs the unblocked kernel :func:`sytf2` (``xSYTF2``): the same
+    pivot rule and interchanges as LAPACK's, with each step's update
+    vectorized over the whole trailing block.  LAPACK's blocked
+    ``xLASYF`` path, which it takes from n = 64 on, is not reproduced;
+    it reorders the update arithmetic, so its factors agree with these
+    only up to rounding.  Returns ``(ipiv, info)``.
     """
     return sytf2(a, uplo, hermitian=False)
 
@@ -320,7 +304,9 @@ def hetf2(a: np.ndarray, uplo: str = "U"):
 def hetrf(a: np.ndarray, uplo: str = "U"):
     """Bunch–Kaufman factorization of a Hermitian matrix, ``A = U D Uᴴ``.
 
-    Returns ``(ipiv, info)``.
+    Runs the unblocked kernel :func:`sytf2` (``xHETF2``) in its
+    Hermitian flavour; as for :func:`sytrf`, LAPACK's blocked
+    ``xLAHEF`` path is not reproduced.  Returns ``(ipiv, info)``.
     """
     return sytf2(a, uplo, hermitian=True)
 
@@ -504,14 +490,7 @@ def hecon(a, ipiv, anorm, uplo="U"):
 
 def _indef_rfs(a, af, ipiv, b, x, uplo, hermitian, itmax=5):
     n = a.shape[0]
-    if uplo.upper() == "U":
-        full = np.triu(a) + (np.conj(np.triu(a, 1)).T if hermitian
-                             else np.triu(a, 1).T)
-    else:
-        full = np.tril(a) + (np.conj(np.tril(a, -1)).T if hermitian
-                             else np.tril(a, -1).T)
-    if hermitian:
-        np.fill_diagonal(full, full.diagonal().real)
+    full = _sym_full(a, uplo, hermitian)
     bmat = b if b.ndim == 2 else b[:, None]
     xmat = x if x.ndim == 2 else x[:, None]
     nrhs = bmat.shape[1]

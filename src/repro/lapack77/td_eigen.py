@@ -16,10 +16,13 @@ packed/band variants, which reduce to this dense path — DESIGN.md §7).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import xerbla
-from .householder import larf_left, larf_right, larfg
+from .householder import larf_left, larfg
+from .lautil import _put_triangle, _sym_full
 from .machine import lamch
 
 __all__ = ["sytd2", "sytrd", "hetrd", "orgtr", "ungtr",
@@ -30,8 +33,13 @@ def sytd2(a: np.ndarray, uplo: str = "L", hermitian: bool | None = None):
     """Unblocked tridiagonal reduction (in place).
 
     Returns ``(d, e, tau)``: the tridiagonal diagonals (real) and the
-    reflector scalars.  The reflector vectors overwrite the corresponding
-    triangle of ``a``.
+    reflector scalars.  The reflector vectors overwrite the ``uplo``
+    triangle of ``a``; the opposite strict triangle is left untouched.
+
+    The reduction runs on one full symmetric/Hermitian working copy:
+    ``x = tau·(W v)`` is a plain matvec on the active block and the
+    rank-2 update covers the whole block.  Mirrored entries subtract the
+    same two products, so W stays exactly symmetric/Hermitian.
     """
     n = a.shape[0]
     if hermitian is None:
@@ -43,54 +51,28 @@ def sytd2(a: np.ndarray, uplo: str = "L", hermitian: bool | None = None):
     e = np.zeros(max(n - 1, 0), dtype=rdtype)
     tau = np.zeros(max(n - 1, 0), dtype=a.dtype)
     conj = np.conj if hermitian else (lambda z: z)
-    if up:
-        for i in range(n - 2, -1, -1):
-            # Annihilate A[0:i, i+1] leaving e[i] at A[i, i+1].
-            beta, taui = larfg(a[i, i + 1], a[:i, i + 1])
-            e[i] = beta.real if hermitian else beta
-            if taui != 0:
-                a[i, i + 1] = 1
-                v = a[: i + 1, i + 1]
-                # x = tau * A[0:i+1, 0:i+1] v (using the 'U' triangle).
-                sub = np.triu(a[: i + 1, : i + 1])
-                full = sub + conj(np.triu(sub, 1)).T
-                if hermitian:
-                    np.fill_diagonal(full, full.diagonal().real)
-                x = taui * (full @ v)
-                alpha = -0.5 * taui * np.dot(conj(x), v)
-                w = x + alpha * v
-                upd = np.outer(v, conj(w)) + np.outer(w, conj(v))
-                iu = np.triu_indices(i + 1)
-                a[: i + 1, : i + 1][iu] -= upd[iu]
-                if hermitian:
-                    di = np.arange(i + 1)
-                    a[di, di] = a[di, di].real
-            a[i, i + 1] = e[i]
-            tau[i] = taui
-        d[:] = a.diagonal().real if hermitian else a.diagonal()
-    else:
-        for i in range(n - 1):
-            beta, taui = larfg(a[i + 1, i], a[i + 2:, i])
-            e[i] = beta.real if hermitian else beta
-            if taui != 0:
-                a[i + 1, i] = 1
-                v = a[i + 1:, i]
-                sub = np.tril(a[i + 1:, i + 1:])
-                full = sub + conj(np.tril(sub, -1)).T
-                if hermitian:
-                    np.fill_diagonal(full, full.diagonal().real)
-                x = taui * (full @ v)
-                alpha = -0.5 * taui * np.dot(conj(x), v)
-                w = x + alpha * v
-                upd = np.outer(v, conj(w)) + np.outer(w, conj(v))
-                il = np.tril_indices(n - i - 1)
-                a[i + 1:, i + 1:][il] -= upd[il]
-                if hermitian:
-                    di = np.arange(i + 1, n)
-                    a[di, di] = a[di, di].real
-            a[i + 1, i] = e[i]
-            tau[i] = taui
-        d[:] = a.diagonal().real if hermitian else a.diagonal()
+    w = _sym_full(a, uplo, hermitian)
+    for i in (range(n - 2, -1, -1) if up else range(n - 1)):
+        if up:
+            # Annihilate W[0:i, i+1] leaving e[i] at W[i, i+1]; the
+            # active block is W[0:i+1, 0:i+1].
+            top, col, blk = (i, i + 1), w[: i + 1, i + 1], w[: i + 1, : i + 1]
+            beta, taui = larfg(w[top], col[:i])
+        else:
+            # Annihilate W[i+2:, i] leaving e[i] at W[i+1, i].
+            top, col, blk = (i + 1, i), w[i + 1:, i], w[i + 1:, i + 1:]
+            beta, taui = larfg(w[top], col[1:])
+        e[i] = beta.real if hermitian else beta
+        if taui != 0:
+            w[top] = 1
+            x = taui * (blk @ col)
+            alpha = -0.5 * taui * np.dot(conj(x), col)
+            upd = np.outer(col, conj(x + alpha * col))
+            blk -= upd + conj(upd.T)
+        w[top] = e[i]
+        tau[i] = taui
+    d[:] = w.diagonal().real if hermitian else w.diagonal()
+    _put_triangle(a, w, uplo)
     return d, e, tau
 
 
@@ -212,6 +194,11 @@ def steqr(d: np.ndarray, e: np.ndarray, z: np.ndarray | None = None,
     On success the eigenvalues overwrite ``d`` in ascending order and the
     columns of ``z`` are the matching eigenvectors.  Returns ``info``
     (> 0: off-diagonal ``e[info-1]`` failed to converge).
+
+    The scalar recurrence runs on Python floats (double precision for
+    every dtype).  Each sweep's rotations are recorded and then applied,
+    in the same order, to contiguous row pairs of ``Zᵀ`` as one 2×2
+    product each, in ``z``'s dtype.
     """
     c = compz.upper()
     if c not in ("N", "V", "I"):
@@ -226,69 +213,90 @@ def steqr(d: np.ndarray, e: np.ndarray, z: np.ndarray | None = None,
             z[np.arange(n), np.arange(n)] = 1
     if n <= 1:
         return 0
-    eps = lamch("E", d.dtype)
-    work_e = np.zeros(n, dtype=d.dtype)
-    work_e[: n - 1] = e
+    eps = float(lamch("E", d.dtype))
+    dl = d.tolist()
+    el = e[: n - 1].tolist() + [0.0]
+    if want_z:
+        # Zᵀ, its row pairs (i, i+1) as views, and preallocated buffers
+        # for one sweep's 2×2 rotations and one rotated row pair.
+        zt = np.ascontiguousarray(z.T)
+        rows = [zt[i: i + 2] for i in range(n - 1)]
+        rot = np.empty((n - 1, 2, 2), dtype=z.dtype)
+        rots = list(rot)
+        pair = np.empty((2, zt.shape[1]), dtype=z.dtype)
     info = 0
     nmax_iter = maxiter_factor * n
     total_iter = 0
     for l in range(n):
-        iters = 0
         while True:
             # Look for a negligible off-diagonal element.
             m = l
             while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(work_e[m]) <= eps * dd:
+                if abs(el[m]) <= eps * (abs(dl[m]) + abs(dl[m + 1])):
                     break
                 m += 1
             if m == l:
                 break
-            iters += 1
             total_iter += 1
             if total_iter > nmax_iter:
                 # Report the first non-converged off-diagonal.
-                return l + 1
+                info = l + 1
+                break
             # Wilkinson shift.
-            g = (d[l + 1] - d[l]) / (2.0 * work_e[l])
-            r = float(np.hypot(g, 1.0))
-            g = d[m] - d[l] + work_e[l] / (g + (r if g >= 0 else -r))
+            g = (dl[l + 1] - dl[l]) / (2.0 * el[l])
+            r = math.hypot(g, 1.0)
+            g = dl[m] - dl[l] + el[l] / (g + (r if g >= 0 else -r))
             s = 1.0
             cth = 1.0
             p = 0.0
-            broke = False
+            sweep = []
             for i in range(m - 1, l - 1, -1):
-                f = s * work_e[i]
-                b = cth * work_e[i]
-                r = float(np.hypot(f, g))
-                work_e[i + 1] = r
+                f = s * el[i]
+                b = cth * el[i]
+                r = math.hypot(f, g)
+                el[i + 1] = r
                 if r == 0.0:
-                    d[i + 1] -= p
-                    work_e[m] = 0.0
-                    broke = True
+                    dl[i + 1] -= p
+                    el[m] = 0.0
                     break
                 s = f / r
                 cth = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * cth * b
+                g = dl[i + 1] - p
+                r = (dl[i] - g) * s + 2.0 * cth * b
                 p = s * r
-                d[i + 1] = g + p
+                dl[i + 1] = g + p
                 g = cth * r - b
-                if want_z:
-                    col1 = z[:, i + 1].copy()
-                    z[:, i + 1] = s * z[:, i] + cth * col1
-                    z[:, i] = cth * z[:, i] - s * col1
-            if not broke:
-                d[l] -= p
-                work_e[l] = g
-                work_e[m] = 0.0
+                sweep.append((cth, s))
+            else:
+                dl[l] -= p
+                el[l] = g
+                el[m] = 0.0
+            if want_z and sweep:
+                # Rotation j acts on rows (m-1-j, m-j) of Zᵀ:
+                # [r_i; r_i+1] <- [[c, -s], [s, c]] [r_i; r_i+1].
+                cs = np.array(sweep)
+                k = cs.shape[0]
+                rot[:k, 0, 0] = rot[:k, 1, 1] = cs[:, 0]
+                rot[:k, 1, 0] = cs[:, 1]
+                rot[:k, 0, 1] = -cs[:, 1]
+                for j in range(k):
+                    rows_j = rows[m - 1 - j]
+                    np.dot(rots[j], rows_j, out=pair)
+                    np.copyto(rows_j, pair)
+        if info:
+            break
+    d[:] = dl
+    if info:
+        if want_z:
+            z[...] = zt.T
+        return info
     # Sort ascending (and permute z).
     order = np.argsort(d, kind="stable")
     d[:] = d[order]
     e[:] = 0
     if want_z:
-        z[:, :] = z[:, order]
-    return info
+        z[...] = zt[order].T
+    return 0
 
 
 def sterf(d: np.ndarray, e: np.ndarray, maxiter_factor: int = 30) -> int:

@@ -322,3 +322,26 @@ def test_sbtrd_values_only_matches_vect(rng):
     d2, e2, q2, _ = sbtrd(ab, uplo="U", vect="V")
     np.testing.assert_allclose(d1, d2)
     np.testing.assert_allclose(e1, e2)
+
+
+@pytest.mark.parametrize("uplo", ["U", "L"])
+@pytest.mark.parametrize("dt", [np.float64, np.float32, np.complex128],
+                         ids=["f64", "f32", "c128"])
+def test_syev_vectors_section6_n200(uplo, dt):
+    # jobz='V' runs the reduction, orgtr and steqr(compz='V'); complex
+    # operands take the heev path with a complex Z.
+    n = 200
+    rng = np.random.default_rng(13)
+    hermitian = np.dtype(dt).kind == "c"
+    a0 = sym(rng, n, dt, hermitian)
+    a = a0.copy()
+    w, info = (heev if hermitian else syev)(a, jobz="V", uplo=uplo)
+    assert info == 0
+    assert np.all(np.diff(w) >= 0)
+    wide = np.complex128 if hermitian else np.float64
+    a0w, z = a0.astype(wide), a.astype(wide)
+    eps = np.finfo(dt).eps
+    resid = (np.linalg.norm(a0w @ z - z * w.astype(np.float64)[None, :], 1)
+             / (np.linalg.norm(a0w, 1) * n * eps))
+    orth = np.linalg.norm(np.eye(n) - np.conj(z.T) @ z, 1) / (n * eps)
+    assert resid <= 10 and orth <= 10

@@ -24,7 +24,7 @@ def sym_indef(rng, n, dtype, hermitian):
 
 
 @pytest.mark.parametrize("uplo", UPLOS)
-@pytest.mark.parametrize("n", [1, 2, 3, 10, 31])
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 31, 65, 130])
 def test_sysv_real(rng, real_dtype, uplo, n):
     a0 = sym_indef(rng, n, real_dtype, hermitian=False)
     x_true = rand_vector(rng, n, real_dtype)
@@ -37,7 +37,7 @@ def test_sysv_real(rng, real_dtype, uplo, n):
 
 
 @pytest.mark.parametrize("uplo", UPLOS)
-@pytest.mark.parametrize("n", [1, 2, 3, 10, 31])
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 31, 65, 130])
 def test_sysv_complex_symmetric(rng, complex_dtype, uplo, n):
     a0 = sym_indef(rng, n, complex_dtype, hermitian=False)
     x_true = rand_vector(rng, n, complex_dtype)
@@ -50,7 +50,7 @@ def test_sysv_complex_symmetric(rng, complex_dtype, uplo, n):
 
 
 @pytest.mark.parametrize("uplo", UPLOS)
-@pytest.mark.parametrize("n", [1, 2, 3, 10, 31])
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 31, 65, 130])
 def test_hesv_hermitian(rng, complex_dtype, uplo, n):
     a0 = sym_indef(rng, n, complex_dtype, hermitian=True)
     x_true = rand_vector(rng, n, complex_dtype)
@@ -166,3 +166,84 @@ def test_sysv_random_trials(uplo, trial):
     ipiv, info = sysv(af, b, uplo)
     assert info == 0
     np.testing.assert_allclose(b, x_true, rtol=1e-7, atol=1e-7)
+
+
+# -- the storage contract: only the ``uplo`` triangle is read or written ----
+
+FLAVOURS = [(np.float64, False), (np.complex128, False),
+            (np.complex128, True)]
+
+
+def _opposite(n, uplo):
+    """Mask of the strict triangle a ``uplo`` factorization must not touch."""
+    below = np.tri(n, k=-1, dtype=bool)
+    return below if uplo == "U" else below.T
+
+
+def _with_sentinel_opposite(rng, a0, uplo):
+    """``a0`` with its opposite strict triangle replaced by unrelated
+    values, so any read or write of that triangle shows."""
+    a = a0.copy()
+    mask = _opposite(a.shape[0], uplo)
+    a[mask] = rand_matrix(rng, *a.shape, a.dtype)[mask] * 7.0
+    return a, mask
+
+
+@pytest.mark.parametrize("uplo", UPLOS)
+@pytest.mark.parametrize("dt,hermitian", FLAVOURS,
+                         ids=["real", "complex-sym", "hermitian"])
+@pytest.mark.parametrize("n", [2, 9, 40, 70])
+def test_factor_leaves_opposite_triangle_untouched(rng, uplo, dt, hermitian,
+                                                   n):
+    a0 = sym_indef(rng, n, dt, hermitian)
+    a, mask = _with_sentinel_opposite(rng, a0, uplo)
+    before = a[mask].tobytes()
+    ref = a0.copy()
+    ipiv_ref, info_ref = (hetrf if hermitian else sytrf)(ref, uplo)
+    ipiv, info = (hetrf if hermitian else sytrf)(a, uplo)
+    assert a[mask].tobytes() == before
+    # The factors themselves do not depend on the opposite triangle.
+    assert info == info_ref
+    np.testing.assert_array_equal(ipiv, ipiv_ref)
+    np.testing.assert_array_equal(a[~mask], ref[~mask])
+
+
+@pytest.mark.parametrize("uplo", UPLOS)
+@pytest.mark.parametrize("dt,hermitian", FLAVOURS,
+                         ids=["real", "complex-sym", "hermitian"])
+def test_solve_leaves_opposite_triangle_untouched(rng, uplo, dt, hermitian):
+    n = 50
+    a0 = sym_indef(rng, n, dt, hermitian)
+    x_true = rand_vector(rng, n, dt)
+    b = a0 @ x_true
+    a, mask = _with_sentinel_opposite(rng, a0, uplo)
+    before = a[mask].tobytes()
+    ipiv, info = (hesv if hermitian else sysv)(a, b, uplo)
+    assert info == 0
+    assert a[mask].tobytes() == before
+    np.testing.assert_allclose(b, x_true, rtol=1e-8, atol=1e-8)
+
+
+@pytest.mark.parametrize("uplo", UPLOS)
+@pytest.mark.parametrize("n", [8, 40, 63])
+@pytest.mark.parametrize("dt", [np.float32, np.float64, np.complex64,
+                                np.complex128])
+def test_ipiv_matches_lapack_sytf2(uplo, n, dt):
+    # Below n = 64 LAPACK's ?sytrf/?hetrf runs the unblocked ?sytf2/?hetf2,
+    # the algorithm implemented here: same pivot rule, same interchanges.
+    lapack = pytest.importorskip("scipy.linalg.lapack")
+    hermitian = np.dtype(dt).kind == "c"
+    factor = hetrf if hermitian else sytrf
+    mismatched = []
+    for seed in range(20):
+        a0 = sym_indef(np.random.default_rng(seed), n, dt, hermitian)
+        trf, = lapack.get_lapack_funcs(("hetrf" if hermitian else "sytrf",),
+                                       (a0,))
+        _, ipiv_lapack, info_lapack = trf(a0, lower=int(uplo == "L"))
+        # LAPACK is 1-based: k > 0 is row k; a 2x2 block's -p is already
+        # -(p0 + 1) for the 0-based row p0 = p - 1.
+        expected = np.where(ipiv_lapack > 0, ipiv_lapack - 1, ipiv_lapack)
+        ipiv, info = factor(a0.copy(), uplo)
+        if info != info_lapack or not np.array_equal(ipiv, expected):
+            mismatched.append(seed)
+    assert not mismatched, f"ipiv differs from LAPACK for seeds {mismatched}"

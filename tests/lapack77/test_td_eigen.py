@@ -212,3 +212,83 @@ def test_stedc_eigenvalues_only(rng):
     info = stedc(dd, ee, compz="N")
     assert info == 0
     np.testing.assert_allclose(np.sort(dd), ref, atol=1e-9)
+
+
+# -- the storage contract and Section-6 accuracy at larger n ---------------
+
+def _opposite(n, uplo):
+    """Mask of the strict triangle a ``uplo`` reduction must not touch."""
+    below = np.tri(n, k=-1, dtype=bool)
+    return below if uplo == "U" else below.T
+
+
+@pytest.mark.parametrize("uplo", UPLOS)
+@pytest.mark.parametrize("dt", [np.float64, np.complex128])
+def test_sytd2_leaves_opposite_triangle_untouched(rng, uplo, dt):
+    n = 130
+    hermitian = np.dtype(dt).kind == "c"
+    a0 = sym(rng, n, dt, hermitian)
+    a = a0.copy()
+    mask = _opposite(n, uplo)
+    a[mask] = 7.0 * rand_matrix(rng, n, n, dt)[mask]
+    before = a[mask].tobytes()
+    d, e, tau = (hetrd if hermitian else sytrd)(a, uplo)
+    assert a[mask].tobytes() == before
+    # ‖QᴴAQ − T‖ / (‖A‖ n eps) stays small.
+    q = a.copy()
+    orgtr(q, tau, uplo)
+    t = np.conj(q.T) @ a0 @ q
+    eps = np.finfo(dt).eps
+    ratio = (np.linalg.norm(t - tridiag(d, e), 1)
+             / (np.linalg.norm(a0, 1) * n * eps))
+    assert ratio <= 10
+
+
+def _section6_ratios(t, z, w, eps):
+    """‖TZ − ZΛ‖₁/(‖T‖₁ n eps) and ‖I − ZᵀZ‖₁/(n eps), in double."""
+    n = t.shape[0]
+    z = z.astype(np.float64)
+    resid = (np.linalg.norm(t @ z - z * w.astype(np.float64)[None, :], 1)
+             / (np.linalg.norm(t, 1) * n * eps))
+    orth = np.linalg.norm(np.eye(n) - z.T @ z, 1) / (n * eps)
+    return resid, orth
+
+
+@pytest.mark.parametrize("dt", [np.float64, np.float32],
+                         ids=["f64", "f32"])
+def test_steqr_identity_section6(dt):
+    n = 200
+    rng = np.random.default_rng(12)
+    d = rng.standard_normal(n).astype(dt)
+    e = rng.standard_normal(n - 1).astype(dt)
+    t = tridiag(d, e)
+    z = np.empty((n, n), dtype=dt)
+    info = steqr(d, e, z, compz="I")
+    assert info == 0
+    assert np.all(np.diff(d) >= 0)
+    resid, orth = _section6_ratios(t, z, d, np.finfo(dt).eps)
+    assert resid <= 10 and orth <= 10
+
+
+def test_steqr_exact_zero_offdiagonal_splits(rng):
+    n = 60
+    d = rng.standard_normal(n)
+    e = rng.standard_normal(n - 1)
+    e[[0, 17, 40, n - 2]] = 0.0
+    t = tridiag(d, e)
+    z = np.empty((n, n))
+    info = steqr(d, e, z, compz="I")
+    assert info == 0
+    assert np.all(np.diff(d) >= 0)
+    np.testing.assert_allclose(d, np.linalg.eigvalsh(t), atol=1e-12)
+    resid, orth = _section6_ratios(t, z, d, np.finfo(np.float64).eps)
+    assert resid <= 10 and orth <= 10
+
+
+@pytest.mark.parametrize("compz", ["N", "I"])
+def test_steqr_iteration_cap_reports_info(rng, compz):
+    n = 10
+    d = rng.standard_normal(n)
+    e = rng.standard_normal(n - 1)
+    z = np.empty((n, n)) if compz == "I" else None
+    assert steqr(d, e, z, compz=compz, maxiter_factor=0) == 1
