@@ -16,13 +16,14 @@ the :mod:`repro.core` drivers cannot tell the substrates apart:
 
 Every adapter is **transactional**: it raises only before its first
 write to any operand.  Arguments are checked first, SciPy works on its
-own copies (no ``overwrite_*``), and the operands are written only
-after SciPy has returned; the ``*_stack`` adapters keep every slice's
-outputs and write the whole stack back after the last slice.  Each
-adapter carries ``transactional = True``, which lets the resilience
-seam (:mod:`repro.resilience.dispatch`) call it without an up-front
-operand snapshot: a failed attempt leaves the operands as the caller
-passed them, so the retry ladder starts only after a failure.
+own copies (``gesv_stack`` on private buffers it overwrites), and the
+operands are written only after SciPy has returned; the ``*_stack``
+adapters keep every slice's outputs and write the whole stack back
+after the last slice.  Each adapter carries ``transactional = True``,
+which lets the resilience seam (:mod:`repro.resilience.dispatch`) call
+it without an up-front operand snapshot: a failed attempt leaves the
+operands as the caller passed them, so the retry ladder starts only
+after a failure.
 
 Only simple dense/band/tridiagonal drivers plus the dense symmetric
 eigensolvers, SVD and GELS are adapted.  The computational kernels the
@@ -93,31 +94,39 @@ def gesv_stack(a, b):
     """Natively batched ``gesv``: one seam crossing for a whole
     ``(batch, n, n)`` / ``(batch, n, nrhs)`` stack.
 
-    The typed SciPy wrapper is resolved once and the scalar adapter's
-    per-call overhead (flavor lookup, shape checks) is hoisted out of
-    the loop; each slice then runs the very same ``?gesv`` call as a
-    scalar :func:`gesv`, so per-problem factors, pivots and info codes
-    stay bit-identical to the scalar path (the parity suite pins this).
+    A one-problem stack runs the scalar :func:`gesv`.  Otherwise the
+    typed SciPy wrapper is resolved once and both stacks are copied once
+    into private transposed buffers, so every slice is a Fortran-ordered
+    view that ``?gesv`` factors and solves in place
+    (``overwrite_a=1, overwrite_b=1``) with no per-slice copies.  The
+    factors go back in one write and the solutions of the slices with
+    ``info == 0`` in another, so a singular slice keeps its ``b``.  Each
+    slice runs the very same ``?gesv`` as a scalar call, so factors,
+    pivots and info codes stay bit-identical to the scalar path (the
+    parity suite pins this).
     """
     n = a.shape[1]
     if a.shape[2] != n:
         xerbla("GESV_STACK", 1, "matrices must be square")
     if b.shape[1] != n:
         xerbla("GESV_STACK", 2, "dimension mismatch between A and B")
-    f = _flavor("gesv", a.dtype)
+    bs = b if b.ndim == 3 else b[:, :, None]
     batch = a.shape[0]
-    pivs = np.empty((batch, n), dtype=np.int64)
-    infos = np.empty(batch, dtype=np.int64)
-    outs = []
-    for k in range(batch):
-        lu, piv, x, info = f(a[k], _as2d(b[k]))
-        outs.append((lu, x))
-        pivs[k] = piv
-        infos[k] = info
-    for k, (lu, x) in enumerate(outs):
-        a[k] = lu
-        if infos[k] == 0:
-            _as2d(b[k])[...] = x
+    if batch == 1:
+        piv, info = gesv(a[0], bs[0])
+        return piv[None], np.array([info], dtype=np.int64)
+    f = _flavor("gesv", a.dtype)
+    # at[k].T is a[k] in Fortran order; iterating the transposed stacks
+    # yields those views.
+    at = np.ascontiguousarray(a.transpose(0, 2, 1))
+    bt = np.ascontiguousarray(bs.transpose(0, 2, 1), dtype=a.dtype)
+    outs = [f(ak, bk, 1, 1)      # overwrite_a=1, overwrite_b=1
+            for ak, bk in zip(at.transpose(0, 2, 1), bt.transpose(0, 2, 1))]
+    pivs = np.array([o[1] for o in outs], dtype=np.int64).reshape(batch, n)
+    infos = np.array([o[3] for o in outs], dtype=np.int64)
+    a[...] = at.transpose(0, 2, 1)
+    solved = infos == 0
+    bs[solved] = bt[solved].transpose(0, 2, 1)
     return pivs, infos
 
 

@@ -143,14 +143,19 @@ def laswp(a: np.ndarray, ipiv: np.ndarray, k1: int = 0, k2: int | None = None,
 
     ``ipiv[k]`` (0-based) says row ``k`` was swapped with row ``ipiv[k]``.
     ``forward=False`` applies them in reverse order (the inverse permutation).
+    The interchanges are composed into one permutation of the rows up to
+    the last one they touch, on Python ints, and applied as one gather.
     """
     if k2 is None:
         k2 = len(ipiv)
-    ks = range(k1, k2) if forward else range(k2 - 1, k1 - 1, -1)
-    for k in ks:
-        p = ipiv[k]
-        if p != k:
-            a[[k, p], :] = a[[p, k], :]
+    if k2 <= k1:
+        return a
+    piv = np.asarray(ipiv[k1:k2]).tolist()
+    perm = list(range(max(k2, max(piv) + 1)))
+    steps = zip(range(k1, k2), piv)
+    for k, p in (steps if forward else reversed(list(steps))):
+        perm[k], perm[p] = perm[p], perm[k]
+    a[:len(perm)] = a[perm]
     return a
 
 

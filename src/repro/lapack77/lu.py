@@ -77,12 +77,10 @@ def getrf(a: np.ndarray):
             info = pinfo + j
         ipiv[j:j + jb] = piv + j
         # Apply interchanges to the columns outside the panel.
-        for i in range(jb):
-            p = ipiv[j + i]
-            if p != j + i:
-                a[[j + i, p], :j] = a[[p, j + i], :j]
-                if j + jb < n:
-                    a[[j + i, p], j + jb:] = a[[p, j + i], j + jb:]
+        if j > 0:
+            laswp(a[j:, :j], piv)
+        if j + jb < n:
+            laswp(a[j:, j + jb:], piv)
         if j + jb < n:
             # U12 := L11^{-1} A12  (unit lower triangular solve)
             trsm(1, a[j:j + jb, j:j + jb], a[j:j + jb, j + jb:],

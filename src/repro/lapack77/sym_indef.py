@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..blas.level3 import trsm
 from ..errors import xerbla
 from .lacon import lacon
-from .lautil import _put_triangle, _sym_full, lanhe, lansy
+from .lautil import _put_triangle, _sym_full, lanhe, lansy, laswp
 from .machine import lamch
 
 __all__ = ["sytf2", "sytrf", "sytrs", "sysv", "sycon", "syrfs",
@@ -311,118 +312,95 @@ def hetrf(a: np.ndarray, uplo: str = "U"):
     return sytf2(a, uplo, hermitian=True)
 
 
-def _sytrs_upper(a, ipiv, b, hermitian):
-    n = a.shape[0]
-    conj = np.conj if hermitian else (lambda z: z)
-    # Solve U D x = b (descending).
-    k = n - 1
-    while k >= 0:
-        if ipiv[k] >= 0:
-            kp = ipiv[k]
-            if kp != k:
-                b[[k, kp]] = b[[kp, k]]
-            if k > 0:
-                b[:k] -= np.outer(a[:k, k], b[k])
-            b[k] = b[k] / (a[k, k].real if hermitian else a[k, k])
-            k -= 1
-        else:
-            kp = -ipiv[k] - 1
-            if kp != k - 1:
-                b[[k - 1, kp]] = b[[kp, k - 1]]
-            if k > 1:
-                b[:k - 1] -= np.outer(a[:k - 1, k], b[k])
-                b[:k - 1] -= np.outer(a[:k - 1, k - 1], b[k - 1])
-            akm1k = a[k - 1, k]
-            akm1 = a[k - 1, k - 1] / akm1k
-            ak = a[k, k] / (conj(akm1k) if hermitian else akm1k)
-            denom = akm1 * ak - 1.0
-            bkm1 = b[k - 1] / akm1k
-            bk = b[k] / (conj(akm1k) if hermitian else akm1k)
-            b[k - 1] = (ak * bkm1 - bk) / denom
-            b[k] = (akm1 * bk - bkm1) / denom
-            k -= 2
-    # Solve (op(U)) x = b, op = transpose or conjugate transpose (ascending).
-    k = 0
-    while k < n:
-        if ipiv[k] >= 0:
-            if k > 0:
-                b[k] -= conj(a[:k, k]) @ b[:k]
-            kp = ipiv[k]
-            if kp != k:
-                b[[k, kp]] = b[[kp, k]]
-            k += 1
-        else:
-            if k > 0:
-                b[k] -= conj(a[:k, k]) @ b[:k]
-                b[k + 1] -= conj(a[:k, k + 1]) @ b[:k]
-            kp = -ipiv[k] - 1
-            if kp != k:
-                b[[k, kp]] = b[[kp, k]]
-            k += 2
-    return 0
+def _bk_blocks(ipiv: np.ndarray, upper: bool):
+    """Walk Bunch–Kaufman pivots in the order the factorization made
+    them (upper: from the last row up; lower: from the first row down).
 
-
-def _sytrs_lower(a, ipiv, b, hermitian):
-    n = a.shape[0]
-    conj = np.conj if hermitian else (lambda z: z)
-    # Solve L D x = b (ascending).
-    k = 0
-    while k < n:
-        if ipiv[k] >= 0:
-            kp = ipiv[k]
-            if kp != k:
-                b[[k, kp]] = b[[kp, k]]
-            if k < n - 1:
-                b[k + 1:] -= np.outer(a[k + 1:, k], b[k])
-            b[k] = b[k] / (a[k, k].real if hermitian else a[k, k])
-            k += 1
-        else:
-            kp = -ipiv[k] - 1
-            if kp != k + 1:
-                b[[k + 1, kp]] = b[[kp, k + 1]]
-            if k < n - 2:
-                b[k + 2:] -= np.outer(a[k + 2:, k], b[k])
-                b[k + 2:] -= np.outer(a[k + 2:, k + 1], b[k + 1])
-            akm1k = a[k + 1, k]
-            akm1 = a[k, k] / (conj(akm1k) if hermitian else akm1k)
-            ak = a[k + 1, k + 1] / akm1k
-            denom = akm1 * ak - 1.0
-            bkm1 = b[k] / (conj(akm1k) if hermitian else akm1k)
-            bk = b[k + 1] / akm1k
-            b[k] = (ak * bkm1 - bk) / denom
-            b[k + 1] = (akm1 * bk - bkm1) / denom
-            k += 2
-    # Solve op(L) x = b (descending).
-    k = n - 1
-    while k >= 0:
-        if ipiv[k] >= 0:
-            if k < n - 1:
-                b[k] -= conj(a[k + 1:, k]) @ b[k + 1:]
-            kp = ipiv[k]
-            if kp != k:
-                b[[k, kp]] = b[[kp, k]]
-            k -= 1
-        else:
-            if k < n - 1:
-                b[k] -= conj(a[k + 1:, k]) @ b[k + 1:]
-                b[k - 1] -= conj(a[k + 1:, k - 1]) @ b[k + 1:]
-            kp = -ipiv[k] - 1
-            if kp != k:
-                b[[k, kp]] = b[[kp, k]]
+    Returns the 1×1 block indices, the first index of each 2×2 block,
+    and the interchanges ``(r, p, c)``: rows r and p were swapped at the
+    block ending at column c − 1 (upper) or starting at column c
+    (lower), so the factor columns computed before it are those from c
+    on (upper) or before c (lower).
+    """
+    piv = ipiv.tolist()
+    n = len(piv)
+    ones, pairs, swaps = [], [], []
+    k = n - 1 if upper else 0
+    while 0 <= k < n:
+        if piv[k] >= 0:
+            ones.append(k)
+            r, p, c = k, piv[k], k + 1 if upper else k
+            k += -1 if upper else 1
+        elif upper:
+            pairs.append(k - 1)
+            r, p, c = k - 1, -piv[k] - 1, k + 1
             k -= 2
-    return 0
+        else:
+            pairs.append(k)
+            r, p, c = k + 1, -piv[k] - 1, k
+            k += 2
+        if p != r:
+            swaps.append((r, p, c))
+    return ones, pairs, swaps
 
 
 def sytrs(a: np.ndarray, ipiv: np.ndarray, b: np.ndarray, uplo: str = "U",
           hermitian: bool = False) -> int:
-    """Solve from the Bunch–Kaufman factors (B in place)."""
+    """Solve from the Bunch–Kaufman factors (B in place), as LAPACK's
+    ``?sytrs2`` does.
+
+    On a working copy of the factor, ``?syconv`` zeroes the 2×2 blocks'
+    off-diagonals and carries every interchange into the factor columns
+    computed before it, which leaves one unit triangular U (or L) with
+    ``A = P·U·D·Uᵀ·Pᵀ`` (``Uᴴ`` when ``hermitian``).  Then
+    ``B := P·U⁻ᵀ·D⁻¹·U⁻¹·Pᵀ·B``: one gather for each permutation, two
+    unit :func:`trsm` solves, and one vectorised solve with all 1×1 and
+    2×2 blocks of D.  ``a`` is only read.
+    """
     n = a.shape[0]
     bmat = b if b.ndim == 2 else b[:, None]
     if bmat.shape[0] != n:
         xerbla("SYTRS", 4, "dimension mismatch")
-    if uplo.upper() == "U":
-        return _sytrs_upper(a, ipiv, bmat, hermitian)
-    return _sytrs_lower(a, ipiv, bmat, hermitian)
+    if n == 0:
+        return 0
+    upper = uplo.upper() == "U"
+    ones, pairs, swaps = _bk_blocks(ipiv, upper)
+    # ?syconv on the working copy.
+    w = a.copy()
+    f = np.asarray(pairs, dtype=np.intp)
+    g = f + 1
+    off = (f, g) if upper else (g, f)
+    e = w[off]
+    w[off] = 0
+    for r, p, c in swaps:
+        cols = slice(c, n) if upper else slice(0, c)
+        row = w[r, cols].copy()
+        w[r, cols] = w[p, cols]
+        w[p, cols] = row
+    sw = list(range(n))
+    for r, p, _ in swaps:
+        sw[r] = p
+    laswp(bmat, sw, forward=not upper)
+    trsm(1, w, bmat, side="L", uplo=uplo, transa="N", diag="U")
+    # D⁻¹: the 1×1 blocks, then every 2×2 block [[d_f, ε], [ε*, d_g]]
+    # (ε* = conj(ε) when hermitian) scaled by its off-diagonal.
+    o = np.asarray(ones, dtype=np.intp)
+    d = a[o, o]
+    bmat[o] /= (d.real if hermitian else d)[:, None]
+    if f.size:
+        ec = np.conj(e) if hermitian else e
+        ef, eg = (e, ec) if upper else (ec, e)
+        af = a[f, f] / ef
+        ag = a[g, g] / eg
+        denom = (af * ag - 1.0)[:, None]
+        bf = bmat[f] / ef[:, None]
+        bg = bmat[g] / eg[:, None]
+        bmat[f] = (ag[:, None] * bf - bg) / denom
+        bmat[g] = (af[:, None] * bg - bf) / denom
+    trsm(1, w, bmat, side="L", uplo=uplo,
+         transa="C" if hermitian else "T", diag="U")
+    laswp(bmat, sw, forward=upper)
+    return 0
 
 
 def hetrs(a, ipiv, b, uplo="U"):

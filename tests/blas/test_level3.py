@@ -140,3 +140,191 @@ def test_trsm_solves(rng, dtype, side, uplo, transa, diag):
         np.testing.assert_allclose(b @ op, 1.5 * b0,
                                    rtol=tol_for(dtype, 200),
                                    atol=tol_for(dtype, 200))
+
+
+# -- trsm across the block edges, and on hard triangles -----------------
+#
+# ``trsm`` inverts 32×32 diagonal blocks (a single next-power-of-two
+# block below 32, substitution below 16), so the sizes below cross every
+# block edge.  ``_substitution`` is the column sweep ``trsm`` ran before
+# it inverted blocks; it is the reference for finiteness.
+
+TRSM_SIZES = [1, 5, 31, 32, 33, 64, 65, 130, 256]
+COMBOS = [(side, uplo, transa, diag) for side in SIDES for uplo in UPLOS
+          for transa in ("N", "T", "C") for diag in DIAGS]
+
+
+def _eps(dtype):
+    return np.finfo(dtype).eps / 2
+
+
+def _hi(dtype):
+    return np.complex128 if np.dtype(dtype).kind == "c" else np.float64
+
+
+def _ratio(op, x, b, dtype):
+    """The Section-6 ratio ``‖b − op(A) x‖₁ / (‖op(A)‖₁ ‖x‖₁ n eps)``,
+    worst column, evaluated in double precision."""
+    op, x, b = (np.asarray(v, dtype=_hi(dtype)) for v in (op, x, b))
+    n = op.shape[0]
+    anorm = np.abs(op).sum(axis=0).max()
+    resid = np.abs(b - op @ x).sum(axis=0)
+    xnorm = np.abs(x).sum(axis=0)
+    return float(np.max(resid / (anorm * xnorm * n * _eps(dtype))))
+
+
+def _substitution(t, lower, b):
+    """Column-sweep substitution on the full ``lower`` (or upper)
+    triangle ``t``."""
+    x = b.astype(np.result_type(t, b))
+    n = t.shape[0]
+    for j in (range(n) if lower else range(n - 1, -1, -1)):
+        x[j] = x[j] / t[j, j]
+        rest = slice(j + 1, n) if lower else slice(0, j)
+        x[rest] -= np.outer(t[rest, j], x[j])
+    return x
+
+
+def _tri(a, uplo, diag):
+    t = np.triu(a) if uplo == "U" else np.tril(a)
+    if diag == "U":
+        np.fill_diagonal(t, 1)
+    return t
+
+
+@pytest.mark.parametrize("n", TRSM_SIZES)
+def test_trsm_all_options_across_block_edges(rng, dtype, n):
+    m = 3
+    for side, uplo, transa, diag in COMBOS:
+        a = rand_matrix(rng, n, n, dtype)
+        a[np.diag_indices(n)] += 4
+        t = _tri(a, uplo, diag)
+        op = {"N": t, "T": t.T, "C": np.conj(t.T)}[transa]
+        b = rand_matrix(rng, *((n, m) if side == "L" else (m, n)), dtype)
+        x = b.copy()
+        b3.trsm(1.5, a, x, side=side, uplo=uplo, transa=transa, diag=diag)
+        if side == "L":
+            ratio = _ratio(op, x, 1.5 * b, dtype)
+        else:   # X op(A) = B  <=>  op(A)ᵀ Xᵀ = Bᵀ
+            ratio = _ratio(op.T, x.T, 1.5 * b.T, dtype)
+        assert ratio <= 10, (side, uplo, transa, diag, ratio)
+
+
+def test_trsm_real_transa_c_is_transpose(rng):
+    a = rand_matrix(rng, 40, 40, np.float64) + 4 * np.eye(40)
+    b = rand_matrix(rng, 40, 2, np.float64)
+    xt, xc = b.copy(), b.copy()
+    b3.trsm(1, a, xt, uplo="U", transa="T")
+    b3.trsm(1, a, xc, uplo="U", transa="C")
+    np.testing.assert_array_equal(xt, xc)
+
+
+def _graded(rng, n, dtype, axis):
+    span = 30 if np.finfo(dtype).eps < 1e-10 else 8
+    g = np.logspace(0, span, n)
+    u = np.triu(rand_matrix(rng, n, n, dtype)) + 2 * np.eye(n, dtype=dtype)
+    return (g[:, None] * u if axis == "rows" else u * g[None, :]).astype(dtype)
+
+
+def _ill_conditioned(rng, n, dtype):
+    """The R factor of a matrix with singular values 1 … eps, so
+    κ(R) ≈ 1/eps."""
+    eps = np.finfo(dtype).eps
+    q1 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    r = np.linalg.qr(q1 @ np.diag(np.logspace(0, np.log10(eps), n)) @ q2)[1]
+    if np.dtype(dtype).kind == "c":
+        r = r * np.exp(1j * rng.uniform(0, 2 * np.pi, (n, n)))
+    return r.astype(dtype)
+
+
+def _kahan(n, theta=1.2):
+    s, c = np.sin(theta), np.cos(theta)
+    u = np.eye(n) - c * np.triu(np.ones((n, n)), 1)
+    return (s ** np.arange(n))[:, None] * u
+
+
+def _random(rng, n, dtype):
+    """An unscaled random triangle: κ grows like 2ⁿ."""
+    return np.triu(rand_matrix(rng, n, n, dtype))
+
+
+HARD = ["graded_rows", "graded_rows_reversed", "graded_cols",
+        "ill_conditioned", "kahan", "random"]
+
+
+@pytest.mark.parametrize("kind", HARD)
+@pytest.mark.parametrize("n", [33, 130])
+def test_trtrs_hard_triangles_section6(rng, dtype, kind, n):
+    from repro.lapack77 import trtrs
+    if kind == "kahan":
+        u = _kahan(n).astype(dtype)
+    elif kind == "ill_conditioned":
+        u = _ill_conditioned(rng, n, dtype)
+    elif kind == "random":
+        u = _random(rng, n, dtype)
+    elif kind == "graded_rows_reversed":
+        u = _graded(rng, n, dtype, "rows")[::-1, ::-1].T.copy()
+    else:
+        u = _graded(rng, n, dtype, kind.split("_")[1])
+    for uplo in UPLOS:
+        t = u if uplo == "U" else np.ascontiguousarray(u.T)
+        for trans in ("N", "T", "C"):
+            op = {"N": t, "T": t.T, "C": np.conj(t.T)}[trans]
+            x_true = rand_matrix(rng, n, 2, dtype)
+            for b in (rand_matrix(rng, n, 2, dtype),
+                      (np.asarray(op, _hi(dtype)) @ x_true).astype(dtype)):
+                x = b.copy()
+                with np.errstate(all="ignore"):
+                    assert trtrs(t, x, uplo=uplo, trans=trans) == 0
+                    ref = _substitution(np.asarray(op),
+                                        (uplo == "L") == (trans == "N"), b)
+                if np.isfinite(ref).all():
+                    assert np.isfinite(x).all(), (kind, uplo, trans)
+                    assert _ratio(op, x, b, dtype) <= 10, (kind, uplo, trans)
+
+
+@pytest.mark.parametrize("n", [64, 130, 256])
+def test_getrs_potrs_section6(rng, dtype, n):
+    from repro.lapack77 import getrf, getrs, potrf, potrs
+    a = rand_matrix(rng, n, n, dtype)
+    lu = a.copy()
+    ipiv, info = getrf(lu)
+    assert info == 0
+    h = a @ np.conj(a.T) + n * np.eye(n, dtype=dtype)
+    for trans in ("N", "T", "C"):
+        op = {"N": a, "T": a.T, "C": np.conj(a.T)}[trans]
+        b = rand_matrix(rng, n, 3, dtype)
+        x = b.copy()
+        getrs(lu, ipiv, x, trans=trans)
+        assert _ratio(op, x, b, dtype) <= 10, trans
+    for uplo in UPLOS:
+        c = h.copy()
+        assert potrf(c, uplo) == 0
+        b = rand_matrix(rng, n, 3, dtype)
+        x = b.copy()
+        potrs(c, x, uplo)
+        assert _ratio(h, x, b, dtype) <= 10, uplo
+
+
+@pytest.mark.parametrize("dt", [np.float32, np.float64])
+def test_trsm_within_substitution_residual_bound(dt):
+    """Every column of X meets the residual bound substitution
+    guarantees, ``‖b − T x‖₁ ≤ n·eps·‖|T| |x|‖₁``, also where the
+    refined block inverse alone would not (unscaled random triangles
+    with consistent right-hand sides: κ ≈ 2ⁿ)."""
+    rng = np.random.default_rng(5)
+    eps = np.finfo(dt).eps
+    for _ in range(300):
+        n = int(rng.choice([20, 32, 48]))
+        t = np.triu(rng.standard_normal((n, n))).astype(dt)
+        b = (t.astype(np.float64) @ rng.standard_normal((n, 2))).astype(dt)
+        x = b.copy()
+        with np.errstate(all="ignore"):
+            b3.trsm(1, t, x, uplo="U")
+        if not np.isfinite(x).all():
+            continue
+        th, xh = t.astype(np.float64), x.astype(np.float64)
+        resid = np.abs(b - th @ xh).sum(axis=0)
+        bound = n * eps * (np.abs(th) @ np.abs(xh)).sum(axis=0)
+        assert np.all(resid <= bound), (n, resid / bound)

@@ -343,3 +343,95 @@ def test_trcon_estimate(rng):
     rcond, info = trcon(t, "U")
     true_rcond = 1.0 / np.linalg.cond(t, 1)
     assert true_rcond / 10 <= rcond <= true_rcond * 10
+
+
+# -- exceptional inputs through the block-inverting trsm ------------------
+# ``trtrs`` solves through inverted diagonal blocks from n = 16 on; a
+# zero pivot, Inf or NaN must still produce what column substitution
+# produces.  The expected outcomes below are those of substitution, the
+# ``trsm`` these solves ran before.
+
+def _sweep_solve(t, b, trans):
+    """Column substitution ``op(T) x = b`` on the upper triangle ``t``."""
+    op = t if trans == "N" else t.T
+    x = b.astype(np.result_type(t, b))
+    n = t.shape[0]
+    lower = trans != "N"
+    for j in (range(n) if lower else range(n - 1, -1, -1)):
+        x[j] = x[j] / op[j, j]
+        rest = slice(j + 1, n) if lower else slice(0, j)
+        x[rest] -= np.outer(op[rest, j], x[j])
+    return x
+
+
+def _exceptional(n, case):
+    rng = np.random.default_rng(7)
+    t = np.triu(rng.standard_normal((n, n))) + 3 * np.eye(n)
+    b = rng.standard_normal((n, 2))
+    if case == "inf_diagonal":
+        t[n // 2, n // 2] = np.inf
+    elif case == "nan_in_a":
+        t[1, n - 1] = np.nan
+    elif case == "nan_in_b":
+        b[n // 3, 0] = np.nan
+    elif case == "tiny_pivot":
+        t[0, 0] = 1e-300          # the block inverse overflows
+    return t, b
+
+
+@pytest.mark.parametrize("n", [5, 40, 130])
+def test_trtrs_zero_diagonal_info_and_b_untouched(n):
+    from repro.lapack77 import trtrs
+    t, b = _exceptional(n, "none")
+    t[n - 2, n - 2] = 0
+    b0 = b.copy()
+    assert trtrs(t, b) == n - 1
+    np.testing.assert_array_equal(b, b0)
+
+
+@pytest.mark.parametrize("case", ["inf_diagonal", "nan_in_a", "nan_in_b",
+                                  "tiny_pivot"])
+@pytest.mark.parametrize("trans", ["N", "T"])
+@pytest.mark.parametrize("n", [5, 40, 130])
+def test_trtrs_exceptional_matches_substitution(n, trans, case):
+    from repro.lapack77 import trtrs
+    t, b = _exceptional(n, case)
+    x = b.copy()
+    with np.errstate(all="ignore"):
+        assert trtrs(t, x, uplo="U", trans=trans) == 0
+        ref = _sweep_solve(t, b, trans)
+    np.testing.assert_array_equal(np.isnan(x), np.isnan(ref))
+    np.testing.assert_array_equal(np.isinf(x), np.isinf(ref))
+    fin = np.isfinite(ref)
+    np.testing.assert_allclose(x[fin], ref[fin], rtol=1e-10, atol=0)
+
+
+# Info codes and value classes of la_trtrs on these inputs; identical
+# under every nonfinite mode because la_trtrs screens nothing.
+_EXPECTED = {
+    "inf_diagonal": (0, "finite"),
+    "nan_in_a": (0, "nan"),
+    "nan_in_b": (0, "nan"),
+    "tiny_pivot": (0, "finite"),
+}
+
+
+def _value_class(x):
+    if np.isnan(x).any():
+        return "nan"
+    return "finite" if np.isfinite(x).all() else "inf"
+
+
+@pytest.mark.parametrize("mode", ["check", "warn", "propagate"])
+@pytest.mark.parametrize("case", sorted(_EXPECTED))
+@pytest.mark.parametrize("n", [5, 40])
+def test_la_trtrs_exceptional_info_class(n, case, mode):
+    import warnings
+    from repro import Info, exception_policy, la_trtrs
+    t, b = _exceptional(n, case)
+    info = Info()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with exception_policy(nonfinite=mode):
+            la_trtrs(t, b, uplo="U", info=info)
+    assert (int(info), _value_class(b)) == _EXPECTED[case]

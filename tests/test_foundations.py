@@ -139,6 +139,190 @@ class TestStorage:
         np.testing.assert_array_equal(band_to_full(ab, m, n, kl, ku), a)
 
 
+def _swap_loop(a, ipiv, k1=0, k2=None, forward=True):
+    """The row-at-a-time interchange loop ``laswp`` ran before it
+    composed the interchanges into one gather."""
+    if k2 is None:
+        k2 = len(ipiv)
+    ks = range(k1, k2) if forward else range(k2 - 1, k1 - 1, -1)
+    for k in ks:
+        p = ipiv[k]
+        if p != k:
+            a[[k, p], :] = a[[p, k], :]
+    return a
+
+
+def _pivots(rng, kind, m):
+    if kind == "random":           # LU convention: ipiv[k] >= k
+        return np.array([rng.integers(k, m) for k in range(m)])
+    if kind == "repeated":         # every row swapped with the last one
+        return np.full(m, m - 1)
+    if kind == "chained":          # each row with its successor
+        return np.minimum(np.arange(m) + 1, m - 1)
+    return rng.integers(0, m, m)   # any partner, before or after k
+
+
+class TestLaswpOneGather:
+    @pytest.mark.parametrize("kind", ["random", "repeated", "chained", "any"])
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("k1,k2", [(0, None), (2, 9), (5, 6), (4, 4)])
+    def test_matches_swap_loop(self, rng, kind, forward, k1, k2):
+        ipiv = _pivots(rng, kind, 12)
+        a = rand_matrix(rng, 12, 3, np.complex128)
+        ref = _swap_loop(a.copy(), ipiv, k1, k2, forward)
+        out = laswp(a, ipiv, k1, k2, forward)
+        assert out is a
+        np.testing.assert_array_equal(a, ref)
+
+    def test_list_pivots(self, rng):
+        v = rng.standard_normal((9, 2))
+        ipiv = [3, 1, 8, 8, 4, 7, 6, 8, 8]
+        np.testing.assert_array_equal(laswp(v.copy(), ipiv),
+                                      _swap_loop(v.copy(), ipiv))
+
+    @pytest.mark.parametrize("kind", ["random", "repeated", "chained"])
+    def test_getrf_panel_views(self, rng, kind):
+        """The strided views ``getrf`` passes: the columns left and right
+        of a panel, rows from the panel's first row down."""
+        n, j, jb = 40, 16, 8
+        piv = _pivots(rng, kind, n - j)[:jb]
+        for cols in (slice(0, j), slice(j + jb, n)):
+            a = rand_matrix(rng, n, n, np.float64)
+            ref = a.copy()
+            _swap_loop(ref[j:, cols], piv)
+            laswp(a[j:, cols], piv)
+            np.testing.assert_array_equal(a, ref)
+
+
+# The per-pivot Bunch-Kaufman solves ``sytrs`` ran before it became
+# LAPACK's ``?sytrs2``; the reference for the new one.
+
+def _per_pivot_upper(a, ipiv, b, hermitian):
+    n = a.shape[0]
+    conj = np.conj if hermitian else (lambda z: z)
+    k = n - 1
+    while k >= 0:
+        if ipiv[k] >= 0:
+            kp = ipiv[k]
+            if kp != k:
+                b[[k, kp]] = b[[kp, k]]
+            if k > 0:
+                b[:k] -= np.outer(a[:k, k], b[k])
+            b[k] = b[k] / (a[k, k].real if hermitian else a[k, k])
+            k -= 1
+        else:
+            kp = -ipiv[k] - 1
+            if kp != k - 1:
+                b[[k - 1, kp]] = b[[kp, k - 1]]
+            if k > 1:
+                b[:k - 1] -= np.outer(a[:k - 1, k], b[k])
+                b[:k - 1] -= np.outer(a[:k - 1, k - 1], b[k - 1])
+            akm1k = a[k - 1, k]
+            akm1 = a[k - 1, k - 1] / akm1k
+            ak = a[k, k] / (conj(akm1k) if hermitian else akm1k)
+            denom = akm1 * ak - 1.0
+            bkm1 = b[k - 1] / akm1k
+            bk = b[k] / (conj(akm1k) if hermitian else akm1k)
+            b[k - 1] = (ak * bkm1 - bk) / denom
+            b[k] = (akm1 * bk - bkm1) / denom
+            k -= 2
+    k = 0
+    while k < n:
+        if ipiv[k] >= 0:
+            if k > 0:
+                b[k] -= conj(a[:k, k]) @ b[:k]
+            kp = ipiv[k]
+            if kp != k:
+                b[[k, kp]] = b[[kp, k]]
+            k += 1
+        else:
+            if k > 0:
+                b[k] -= conj(a[:k, k]) @ b[:k]
+                b[k + 1] -= conj(a[:k, k + 1]) @ b[:k]
+            kp = -ipiv[k] - 1
+            if kp != k:
+                b[[k, kp]] = b[[kp, k]]
+            k += 2
+
+
+def _per_pivot_lower(a, ipiv, b, hermitian):
+    n = a.shape[0]
+    conj = np.conj if hermitian else (lambda z: z)
+    k = 0
+    while k < n:
+        if ipiv[k] >= 0:
+            kp = ipiv[k]
+            if kp != k:
+                b[[k, kp]] = b[[kp, k]]
+            if k < n - 1:
+                b[k + 1:] -= np.outer(a[k + 1:, k], b[k])
+            b[k] = b[k] / (a[k, k].real if hermitian else a[k, k])
+            k += 1
+        else:
+            kp = -ipiv[k] - 1
+            if kp != k + 1:
+                b[[k + 1, kp]] = b[[kp, k + 1]]
+            if k < n - 2:
+                b[k + 2:] -= np.outer(a[k + 2:, k], b[k])
+                b[k + 2:] -= np.outer(a[k + 2:, k + 1], b[k + 1])
+            akm1k = a[k + 1, k]
+            akm1 = a[k, k] / (conj(akm1k) if hermitian else akm1k)
+            ak = a[k + 1, k + 1] / akm1k
+            denom = akm1 * ak - 1.0
+            bkm1 = b[k] / (conj(akm1k) if hermitian else akm1k)
+            bk = b[k + 1] / akm1k
+            b[k] = (ak * bkm1 - bk) / denom
+            b[k + 1] = (akm1 * bk - bkm1) / denom
+            k += 2
+    k = n - 1
+    while k >= 0:
+        if ipiv[k] >= 0:
+            if k < n - 1:
+                b[k] -= conj(a[k + 1:, k]) @ b[k + 1:]
+            kp = ipiv[k]
+            if kp != k:
+                b[[k, kp]] = b[[kp, k]]
+            k -= 1
+        else:
+            if k < n - 1:
+                b[k] -= conj(a[k + 1:, k]) @ b[k + 1:]
+                b[k - 1] -= conj(a[k + 1:, k - 1]) @ b[k + 1:]
+            kp = -ipiv[k] - 1
+            if kp != k:
+                b[[k, kp]] = b[[kp, k]]
+            k -= 2
+
+
+class TestSytrs2:
+    @pytest.mark.parametrize("kind", ["symmetric", "hermitian",
+                                      "complex_symmetric"])
+    @pytest.mark.parametrize("uplo", ["U", "L"])
+    @pytest.mark.parametrize("n", [8, 65, 130])
+    def test_matches_per_pivot_solve(self, rng, kind, uplo, n):
+        from repro.lapack77 import sytrf, sytrs, hetrf
+        hermitian = kind == "hermitian"
+        dt = np.float64 if kind == "symmetric" else np.complex128
+        # Indefinite with eigenvalues ±[1, 10]: κ ≤ 10, and a diagonal
+        # small enough next to the off-diagonal for 2×2 pivots.
+        q = np.linalg.qr(rand_matrix(rng, n, n, dt))[0]
+        lam = rng.uniform(1, 10, n) * rng.choice([-1.0, 1.0], n)
+        a = (q * lam) @ (np.conj(q.T) if hermitian else q.T)
+        if not hermitian:
+            a = (a + a.T) / 2
+        f = a.copy()
+        ipiv, info = (hetrf if hermitian else sytrf)(f, uplo)
+        assert info == 0
+        assert (ipiv < 0).any() and (ipiv >= 0).any()
+        b = rand_matrix(rng, n, 3, dt)
+        x = b.copy()
+        sytrs(f, ipiv, x, uplo=uplo, hermitian=hermitian)
+        ref = b.copy()
+        (_per_pivot_upper if uplo == "U" else _per_pivot_lower)(
+            f, ipiv, ref, hermitian)
+        tol = 1e3 * n * np.finfo(dt).eps
+        assert np.abs(x - ref).max() <= tol * np.abs(ref).max()
+
+
 class TestLautil:
     def test_laswp_roundtrip(self, rng):
         a = rand_matrix(rng, 6, 4, np.float64)
